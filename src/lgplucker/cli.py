@@ -17,7 +17,7 @@ from typing import Any, List, Optional
 
 from . import blocks, formats, frlc, linalg, symplectic
 from .errors import ResourceCapError
-from .fields import GF
+from .fields import GF, QQ
 from .symplectic import ExteriorVector, arranged_coordinates, contract, coordinate_vector
 
 EXIT_OK = 0
@@ -132,6 +132,19 @@ def cmd_decompose(args) -> int:
     return EXIT_VERIFY if bad else EXIT_OK
 
 
+def _outside_row_space(functionals: List[frlc.LinearFunctional], b: linalg.ExactMatrix) -> List[frlc.LinearFunctional]:
+    """The functionals that each enlarge the row space of b and of those
+    picked before them: a basis of the functionals modulo rowspace(b)."""
+    picked = []
+    span, r = b, linalg.rank(b)
+    for h in functionals:
+        grown = span.stacked(frlc.functional_matrix([h], h.n, h.field))
+        if linalg.rank(grown) > r:
+            picked.append(h)
+            span, r = grown, r + 1
+    return picked
+
+
 def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
     report = VerificationReport(n=n, q=q)
     field = GF(q)
@@ -139,7 +152,7 @@ def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
 
     t0 = time.perf_counter()
     points = [symplectic.plucker_vector(lag) for lag in symplectic.lagrangian_subspaces(n, q)]
-    timings["enumerate_s"] = round(time.perf_counter() - t0, 3)
+    timings["enumerate_s"] = time.perf_counter() - t0
     formula = symplectic.lagrangian_count(n, q)
     report.checks.append(
         CheckResult("point_count", expected=formula, observed=len(points), passed=len(points) == formula)
@@ -147,21 +160,19 @@ def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
 
     t0 = time.perf_counter()
     bad_rel = [w for w in points if not symplectic.satisfies_plucker_relations(w)]
-    timings["plucker_relations_s"] = round(time.perf_counter() - t0, 3)
+    timings["plucker_relations_s"] = time.perf_counter() - t0
+    witness = None
+    if bad_rel:
+        alpha, beta = symplectic.failing_plucker_relation(bad_rel[0])
+        witness = {"point": sorted(bad_rel[0].coords), "alpha": alpha, "beta": beta}
     report.checks.append(
-        CheckResult(
-            "plucker_relations",
-            expected=0,
-            observed=len(bad_rel),
-            passed=not bad_rel,
-            witness=sorted(bad_rel[0].coords) if bad_rel else None,
-        )
+        CheckResult("plucker_relations", expected=0, observed=len(bad_rel), passed=not bad_rel, witness=witness)
     )
 
     b = frlc.build_plucker_matrix(n)
     t0 = time.perf_counter()
     bad_ann = [w for w in points if any(b.apply(w))]
-    timings["annihilation_s"] = round(time.perf_counter() - t0, 3)
+    timings["annihilation_s"] = time.perf_counter() - t0
     report.checks.append(
         CheckResult(
             "annihilation",
@@ -172,18 +183,34 @@ def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
         )
     )
 
+    # The functionals vanishing on every GF(q) point are the saturation of
+    # the integer row lattice of B, reduced mod q: a space of dimension
+    # rank_QQ(B) that contains the rows of B mod q and equals their span
+    # exactly when B keeps full rank mod q, i.e. q >= floor((n + 2) / 2).
     t0 = time.perf_counter()
     vanishing = frlc.vanishing_space(points, field)
+    vanishing_m = frlc.functional_matrix(vanishing, n, field)
     b_exact = b.to_exact(field)
-    rank_b = linalg.rank(b_exact)
-    dim_ok = len(vanishing) == rank_b
-    span_ok = linalg.row_space_equal(frlc.functional_matrix(vanishing, n, field), b_exact)
-    timings["vanishing_s"] = round(time.perf_counter() - t0, 3)
+    rank_qq = linalg.rank(b.to_exact(QQ))
+    rows_inside = linalg.rank(vanishing_m.stacked(b_exact)) == len(vanishing)
+    span_expected = q >= (n + 2) // 2
+    span_ok = linalg.row_space_equal(vanishing_m, b_exact)
+    extra = [] if span_ok else _outside_row_space(vanishing, b_exact)
+    timings["vanishing_s"] = time.perf_counter() - t0
     report.checks.append(
-        CheckResult("vanishing_dimension", expected=rank_b, observed=len(vanishing), passed=dim_ok)
+        CheckResult("vanishing_dimension", expected=rank_qq, observed=len(vanishing), passed=len(vanishing) == rank_qq)
     )
     report.checks.append(
-        CheckResult("vanishing_row_space", expected=True, observed=span_ok, passed=span_ok)
+        CheckResult("relation_rows_vanish", expected=True, observed=rows_inside, passed=rows_inside)
+    )
+    report.checks.append(
+        CheckResult(
+            "vanishing_row_space",
+            expected=span_expected,
+            observed=span_ok,
+            passed=span_ok == span_expected,
+            witness=[{str(k): v for k, v in sorted(h.coeffs.items())} for h in extra] or None,
+        )
     )
 
     t0 = time.perf_counter()
@@ -200,7 +227,7 @@ def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
             mismatches += 1
             if witness is None:
                 witness = {str(k): v for k, v in sorted(w.coords.items())}
-    timings["commuting_square_s"] = round(time.perf_counter() - t0, 3)
+    timings["commuting_square_s"] = time.perf_counter() - t0
     report.checks.append(
         CheckResult(
             "commuting_square",

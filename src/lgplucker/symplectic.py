@@ -19,9 +19,10 @@ coordinates so the contraction system keeps 0/1 coefficients.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -273,6 +274,18 @@ def arranged_coordinates(w: ExteriorVector) -> List[Scalar]:
     return out
 
 
+def _leading_columns_increase(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether each row's first nonzero entry lies strictly right of the
+    previous row's, which makes the rows independent."""
+    prev = -1
+    for row in rows:
+        lead = next((j for j, v in enumerate(row) if v), -1)
+        if lead <= prev:
+            return False
+        prev = lead
+    return True
+
+
 class SubspaceBasis:
     """Rows of a k-dimensional subspace basis, checked independent."""
 
@@ -283,9 +296,9 @@ class SubspaceBasis:
         for row in coerced:
             if len(row) != 2 * n:
                 raise ValueError(f"rows must have length {2 * n}")
-        m = linalg.ExactMatrix.from_rows(coerced, field) if coerced else None
-        if m is not None and linalg.rank(m) != len(coerced):
-            raise ValueError("rows are linearly dependent")
+        if not _leading_columns_increase(coerced):
+            if linalg.rank(linalg.ExactMatrix.from_rows(coerced, field)) != len(coerced):
+                raise ValueError("rows are linearly dependent")
         self.n = n
         self.field = field
         self.rows = coerced
@@ -451,32 +464,93 @@ def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
             yield SubspaceBasis(n, field, [[int(v) for v in row] for row in rows])
 
 
-def satisfies_plucker_relations(w: ExteriorVector) -> bool:
-    """Whether w satisfies every quadratic relation of the grade-n embedding.
+class PluckerRelationTable(NamedTuple):
+    """The quadratic relations of the grade-n embedding, precomputed.
 
-    For each pair of tuples alpha (length n - 1) and beta (length n + 1)
-    the alternating sum over the entries of beta of the products
-    p(alpha + beta_i) * p(beta minus beta_i) must vanish, coordinates
-    addressed with the sorting-parity convention.
+    Relation r is the sum over its terms of sign * x[first] * x[second],
+    x the coordinate vector over the canonical order of the n-tuples.
+    Its terms are ``first[starts[r]:starts[r + 1]]`` and so on, and
+    ``labels[r]`` is the (alpha, beta) pair it came from.
     """
-    n = w.n
-    if w.grade != n:
-        raise ValueError(f"relations apply to grade {n}, got {w.grade}")
-    field = w.field
+
+    columns: Dict[IndexTuple, int]
+    labels: Tuple[Tuple[IndexTuple, IndexTuple], ...]
+    first: np.ndarray
+    second: np.ndarray
+    signs: np.ndarray
+    starts: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def plucker_relation_table(n: int) -> PluckerRelationTable:
+    """The relation of every pair of tuples alpha (length n - 1) and beta
+    (length n + 1): the alternating sum over the entries beta_i of beta of
+    -p(alpha + beta_i) * p(beta minus beta_i), with p(alpha + beta_i) the
+    sorted coordinate times the sorting parity of the word. Terms sharing
+    a pair of columns are merged, and relations that cancel identically
+    are left out.
+    """
+    columns = {t: j for j, t in enumerate(index_tuples(n, 2 * n))}
+    labels, first, second, signs, starts = [], [], [], [], []
     for alpha in index_tuples(n - 1, 2 * n):
         for beta in index_tuples(n + 1, 2 * n):
-            total = field.zero
-            for pos in range(n + 1):
-                c1 = w.coefficient_word(alpha + (beta[pos],))
-                if not c1:
+            merged: Dict[Tuple[int, int], int] = {}
+            for pos, i in enumerate(beta):
+                if i in alpha:
                     continue
-                c2 = w.coefficient(beta[:pos] + beta[pos + 1 :])
-                if not c2:
-                    continue
-                term = field.mul(c1, c2)
-                if pos % 2 == 0:
-                    term = field.neg(term)
-                total = field.add(total, term)
-            if total:
-                return False
-    return True
+                # sorting alpha + (i,) moves i past every larger entry of alpha
+                sign = (-1) ** (sum(1 for a in alpha if a > i) + pos + 1)
+                a = columns[tuple(sorted(alpha + (i,)))]
+                b = columns[beta[:pos] + beta[pos + 1 :]]
+                key = (min(a, b), max(a, b))
+                merged[key] = merged.get(key, 0) + sign
+            terms = [(key, c) for key, c in sorted(merged.items()) if c]
+            if not terms:
+                continue
+            labels.append((alpha, beta))
+            starts.append(len(signs))
+            for (a, b), c in terms:
+                first.append(a)
+                second.append(b)
+                signs.append(c)
+    return PluckerRelationTable(
+        columns,
+        tuple(labels),
+        np.array(first, dtype=np.intp),
+        np.array(second, dtype=np.intp),
+        np.array(signs, dtype=np.int64),
+        np.array(starts, dtype=np.intp),
+    )
+
+
+def _relation_values(w: ExteriorVector) -> np.ndarray:
+    """Value at w of every relation of its table, in table order.
+
+    Over GF(p) the coordinates are int64 residues: each product of two is
+    below p^2 < 2^62 and is reduced before its sign is applied, so the
+    sums stay exact for every p < MAX_PRIME. Over QQ the same gathers and
+    sums run on an object array of Fractions, in exact Python arithmetic.
+    """
+    if w.grade != w.n:
+        raise ValueError(f"relations apply to grade {w.n}, got {w.grade}")
+    table = plucker_relation_table(w.n)
+    p = w.field.char
+    x = np.zeros(len(table.columns), dtype=np.int64 if p else object)
+    x[[table.columns[t] for t in w.coords]] = list(w.coords.values())
+    products = x[table.first] * x[table.second]
+    if p:
+        products %= p
+    values = np.add.reduceat(products * table.signs, table.starts)
+    return values % p if p else values
+
+
+def satisfies_plucker_relations(w: ExteriorVector) -> bool:
+    """Whether w satisfies every quadratic relation of the grade-n embedding
+    (see :func:`plucker_relation_table`)."""
+    return not _relation_values(w).any()
+
+
+def failing_plucker_relation(w: ExteriorVector) -> Tuple[IndexTuple, IndexTuple] | None:
+    """The (alpha, beta) pair of the first relation w violates, or None."""
+    bad = np.flatnonzero(_relation_values(w))
+    return plucker_relation_table(w.n).labels[bad[0]] if bad.size else None

@@ -82,6 +82,49 @@ class TestVerify:
         assert by_name["point_count"]["pass"] is False
 
 
+    def test_4_2_minimality_outside_the_criterion(self, capsys):
+        # GF(2) is below floor((4 + 2) / 2): B mod 2 has rank 27, and the
+        # one functional vanishing on LG(4, 8) beyond its rows is the witness
+        assert main(["verify", "--n", "4", "--q", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name["point_count"]["observed"] == 2295
+        dim = by_name["vanishing_dimension"]
+        assert (dim["expected"], dim["observed"]) == (28, 28)
+        assert by_name["relation_rows_vanish"]["pass"] is True
+        span = by_name["vanishing_row_space"]
+        assert (span["expected"], span["observed"], span["pass"]) == (False, False, True)
+        assert span["witness"] == [{"(1, 2, 7, 8)": 1, "(1, 3, 6, 8)": 1, "(2, 3, 6, 7)": 1}]
+
+    def test_timings_are_not_rounded(self, capsys):
+        assert main(["verify", "--n", "2", "--q", "3"]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert set(timings) == {"enumerate_s", "plucker_relations_s", "annihilation_s", "vanishing_s", "commuting_square_s"}
+        assert all(0 < v for v in timings.values())
+        assert any(round(v, 3) != v for v in timings.values())
+
+    def test_failing_point_names_its_relation(self, capsys, monkeypatch):
+        import lgplucker.cli as cli_mod
+        from lgplucker import ExteriorVector, GF
+
+        wedge = cli_mod.symplectic.plucker_vector
+        seen = []
+
+        def corrupted(lag):
+            # the first point becomes e12 + e34, which is not decomposable
+            seen.append(lag)
+            if len(seen) == 1:
+                return ExteriorVector(2, 2, GF(3), {(1, 2): 1, (3, 4): 1})
+            return wedge(lag)
+
+        monkeypatch.setattr(cli_mod.symplectic, "plucker_vector", corrupted)
+        assert main(["verify", "--n", "2", "--q", "3"]) == 2
+        by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        rel = by_name["plucker_relations"]
+        assert (rel["observed"], rel["pass"]) == (1, False)
+        assert rel["witness"] == {"point": [[1, 2], [3, 4]], "alpha": [1], "beta": [2, 3, 4]}
+
+
 class TestRank:
     def test_char2_not_surjective(self, capsys):
         assert main(["rank", "--n", "4", "--char", "2"]) == 0

@@ -26,6 +26,8 @@ from lgplucker import (
     satisfies_plucker_relations,
     wedge,
 )
+from lgplucker.symplectic import failing_plucker_relation, plucker_relation_table
+from conftest import enumerated_points
 
 
 def unit(i, n):
@@ -183,6 +185,24 @@ class TestIsotropy:
         with pytest.raises(ValueError):
             SubspaceBasis(2, QQ, [[1, 2, 3, 4], [2, 4, 6, 8]])
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 1, 0, 0]],
+        [[1, 0, 1, 0], [1, 0, 1, 0]],
+        [[1, 1, 0, 0], [0, 1, 0, 0], [1, 2, 0, 0]],
+    ])
+    def test_zero_or_repeated_row_rejected(self, rows):
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, GF(3), rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0, 0], [1, 0, 0, 0]],
+        [[1, 1, 0, 0], [1, 0, 0, 1]],
+        [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+    ])
+    def test_independent_rows_outside_echelon_form_accepted(self, rows):
+        assert SubspaceBasis(2, GF(3), rows).rows == tuple(map(tuple, rows))
+
 
 class TestRandomLagrangian:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -249,6 +269,111 @@ def interior_product_rank(w):
             else:
                 rows[j - 1].pop(c, None)
     return rank(ExactMatrix(n2, len(cols), w.field, rows))
+
+
+def literal_plucker_relations(w):
+    """The quadratic relations read off their definition, one pair at a time.
+
+    For each alpha (length n - 1) and beta (length n + 1) the alternating
+    sum over the entries of beta of the products p(alpha + beta_i) *
+    p(beta minus beta_i) must vanish, coordinates addressed with the
+    sorting-parity convention. Returns the first failing (alpha, beta),
+    or None.
+    """
+    n = w.n
+    field = w.field
+    for alpha in index_tuples(n - 1, 2 * n):
+        for beta in index_tuples(n + 1, 2 * n):
+            total = field.zero
+            for pos in range(n + 1):
+                c1 = w.coefficient_word(alpha + (beta[pos],))
+                if not c1:
+                    continue
+                c2 = w.coefficient(beta[:pos] + beta[pos + 1 :])
+                if not c2:
+                    continue
+                term = field.mul(c1, c2)
+                if pos % 2 == 0:
+                    term = field.neg(term)
+                total = field.add(total, term)
+            if total:
+                return alpha, beta
+    return None
+
+
+def bumped(w, seed):
+    """w with one coordinate, chosen by the seed, raised by one."""
+    t = random.Random(seed).choice(index_tuples(w.n, 2 * w.n))
+    return w + ExteriorVector.basis(w.n, w.field, t)
+
+
+def over(w, field):
+    """The integer coordinates of w read over another field."""
+    return ExteriorVector(w.n, w.n, field, {t: int(v) for t, v in w.coords.items()})
+
+
+def assert_matches_oracle(w):
+    want = literal_plucker_relations(w)
+    assert satisfies_plucker_relations(w) == (want is None), w
+    if want is not None:
+        assert failing_plucker_relation(w) == want, w
+    return want is None
+
+
+def random_sparse_vectors(n, count, seed):
+    """The vectors that test_against_decomposability_oracle draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        coords = {}
+        for t in rng.sample(index_tuples(n, 2 * n), rng.randint(2, 4)):
+            coords[t] = rng.randint(-2, 2)
+        out.append(ExteriorVector(n, n, QQ, coords))
+    return out
+
+
+class TestPluckerRelationTable:
+    @pytest.mark.parametrize("n,relations,terms", [(2, 4, 12), (3, 135, 420), (4, 2576, 8680)])
+    def test_sizes(self, n, relations, terms):
+        table = plucker_relation_table(n)
+        assert len(table.labels) == len(table.starts) == relations
+        assert len(table.signs) == len(table.first) == len(table.second) == terms
+        assert set(table.signs.tolist()) == {-1, 1}
+        assert table.starts[0] == 0 and all(b > a for a, b in zip(table.starts, table.starts[1:]))
+
+    def test_n1_has_no_relations(self):
+        assert len(plucker_relation_table(1).labels) == 0
+        assert satisfies_plucker_relations(ExteriorVector(1, 1, GF(3), {(1,): 1, (2,): 2}))
+
+    def test_built_once_per_n(self):
+        assert plucker_relation_table(3) is plucker_relation_table(3)
+
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_enumerated_points_against_literal_oracle(self, n, q):
+        points = enumerated_points(n, q)
+        for i, w in enumerate(points):
+            assert assert_matches_oracle(w)
+            assert_matches_oracle(over(w, QQ))
+        verdicts = [assert_matches_oracle(bumped(w, i)) for i, w in enumerate(points)]
+        assert not all(verdicts)
+
+    def test_random_vectors_against_literal_oracle(self):
+        vectors = random_sparse_vectors(3, 100, seed=17)
+        for field in (QQ, GF(5)):
+            verdicts = [assert_matches_oracle(over(w, field)) for w in vectors]
+            assert 10 < verdicts.count(False) < 100
+
+    def test_largest_prime_stays_exact(self):
+        # scaled by 393, this point has a relation whose signed products,
+        # each below p^2 < 2^62, sum past 2^63 unless each is reduced first
+        field = GF(2147483647)
+        w = plucker_vector(random_lagrangian(3, field, seed=0)).scaled(393)
+        assert assert_matches_oracle(w)
+        assert not assert_matches_oracle(bumped(w, 5))
+
+    def test_wrong_grade(self):
+        with pytest.raises(ValueError):
+            satisfies_plucker_relations(ExteriorVector.basis(3, QQ, (1, 2)))
 
 
 class TestPluckerRelations:
