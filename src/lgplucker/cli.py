@@ -18,7 +18,7 @@ from typing import Any, List, Optional
 from . import blocks, formats, frlc, linalg, symplectic
 from .errors import ResourceCapError
 from .fields import GF, QQ
-from .symplectic import ExteriorVector, arranged_coordinates, contract, coordinate_vector
+from .symplectic import ExteriorVector, contract, coordinate_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1

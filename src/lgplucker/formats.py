@@ -41,6 +41,8 @@ class BinaryMatrixData:
     entries: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
         for r, c in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
@@ -96,19 +98,27 @@ def write_coord(data) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_ints(number: int, line: str, count: int) -> List[int]:
+    """The count integer tokens of a numbered line."""
+    tokens = line.split()
+    if len(tokens) != count:
+        raise ValueError(f"line {number}: expected {count} integers, got {line!r}")
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise ValueError(f"line {number}: non-integer token in {line!r}") from None
+
+
 def parse_coord(text: str) -> BinaryMatrixData:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty coordinate file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"bad coordinate header {lines[0]!r}")
-    rows, cols, nnz = (int(x) for x in header)
+    rows, cols, nnz = _line_ints(*lines[0], 3)
     if len(lines) - 1 != nnz:
         raise ValueError(f"header promises {nnz} entries, found {len(lines) - 1}")
     entries = []
-    for ln in lines[1:]:
-        r, c = (int(x) for x in ln.split())
+    for number, ln in lines[1:]:
+        r, c = _line_ints(number, ln, 2)
         entries.append((r - 1, c - 1))
     return BinaryMatrixData(rows, cols, tuple(sorted(entries)))
 
@@ -154,6 +164,8 @@ def parse_alist(text: str) -> BinaryMatrixData:
         live = [x for x in raw if x != 0]
         if len(raw) != max_col_w or len(live) != col_w[j]:
             raise ValueError(f"column {j + 1} line disagrees with its weight")
+        if len(set(live)) != len(live):
+            raise ValueError(f"column {j + 1} line repeats a row index")
         for r in live:
             if not 1 <= r <= rows:
                 raise ValueError(f"row index {r} outside [1, {rows}]")
@@ -164,6 +176,8 @@ def parse_alist(text: str) -> BinaryMatrixData:
         live = [x for x in raw if x != 0]
         if len(raw) != max_row_w or len(live) != row_w[i]:
             raise ValueError(f"row {i + 1} line disagrees with its weight")
+        if len(set(live)) != len(live):
+            raise ValueError(f"row {i + 1} line repeats a column index")
         for c in live:
             if not 1 <= c <= cols:
                 raise ValueError(f"column index {c} outside [1, {cols}]")
@@ -184,14 +198,31 @@ def write_json(data) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    # bool is a subclass of int, so the type is compared exactly
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_json(text: str) -> BinaryMatrixData:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("top level must be an object")
     for key in ("rows", "cols", "nnz", "entries"):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
-    entries = tuple(sorted((r - 1, c - 1) for r, c in doc["entries"]))
-    data = BinaryMatrixData(doc["rows"], doc["cols"], entries)
-    if data.nnz != doc["nnz"]:
+    if not isinstance(doc["entries"], list):
+        raise ValueError("entries must be a list")
+    entries = []
+    for pair in doc["entries"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"entry {pair!r} is not a [row, col] pair")
+        r, c = (_json_int(x, "entry index") for x in pair)
+        entries.append((r - 1, c - 1))
+    rows, cols, nnz = (_json_int(doc[key], key) for key in ("rows", "cols", "nnz"))
+    data = BinaryMatrixData(rows, cols, tuple(sorted(entries)))
+    if data.nnz != nnz:
         raise ValueError("nnz field disagrees with the entry list")
     return data
 

@@ -13,8 +13,9 @@ the relation rows are all there is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -195,12 +196,33 @@ def row_weight_law(gamma: IndexTuple, n: int) -> int:
     return n - len(split.pairs) - len(split.free)
 
 
+class ArrangedColumns(NamedTuple):
+    """The grade-n coordinates in canonical order: each tuple, its
+    position, and its pair-adjacent sign as an int64 vector."""
+
+    tuples: List[IndexTuple]
+    position: Dict[IndexTuple, int]
+    signs: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _arranged_columns(n: int) -> ArrangedColumns:
+    tuples = index_tuples(n, 2 * n)
+    return ArrangedColumns(
+        tuples,
+        {t: j for j, t in enumerate(tuples)},
+        np.array([pair_adjacent_sign(t, n) for t in tuples], dtype=np.int64),
+    )
+
+
 def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[LinearFunctional]:
     """Basis of all functionals vanishing on the span of the given points.
 
     Rows of the point matrix are pair-adjacent coordinate vectors, so the
     nullspace vectors are functional coefficient vectors in the same
-    system, directly comparable with the 0/1 relation rows.
+    system, directly comparable with the 0/1 relation rows. Over GF(p)
+    the point matrix is filled as int64 residues and handed to
+    ``linalg.nullspace_mod``; over QQ it stays a sparse Fraction matrix.
     """
     points = list(points)
     if not points:
@@ -209,18 +231,25 @@ def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[Line
     for w in points:
         if w.n != n or w.grade != n or w.field != field:
             raise ValueError("points must share one grade-n space and field")
-    m = linalg.ExactMatrix.from_rows([arranged_coordinates(w) for w in points], field)
-    cols = index_tuples(n, 2 * n)
+    cols = _arranged_columns(n)
+    p = field.char
+    if p:
+        a = np.zeros((len(points), len(cols.tuples)), dtype=np.int64)
+        for i, w in enumerate(points):
+            a[i, [cols.position[t] for t in w.coords]] = list(w.coords.values())
+        basis = linalg.nullspace_mod(a * cols.signs % p, p).tolist()
+    else:
+        basis = linalg.nullspace(linalg.ExactMatrix.from_rows([arranged_coordinates(w) for w in points], field))
     out = []
-    for vec in linalg.nullspace(m):
-        coeffs = {cols[j]: v for j, v in enumerate(vec) if v}
+    for vec in basis:
+        coeffs = {cols.tuples[j]: v for j, v in enumerate(vec) if v}
         out.append(LinearFunctional(n, field, coeffs))
     return out
 
 
 def functional_matrix(functionals: Sequence[LinearFunctional], n: int, field: Field) -> linalg.ExactMatrix:
     """Stack functional coefficient vectors as rows of an exact matrix."""
-    cols = {t: j for j, t in enumerate(index_tuples(n, 2 * n))}
+    cols = _arranged_columns(n).position
     rows = []
     for h in functionals:
         if h.n != n or h.field != field:

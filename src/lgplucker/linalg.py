@@ -192,31 +192,56 @@ def rank(m: ExactMatrix) -> int:
     return len(_rref_sparse(work, m.ncols, m.field))
 
 
+def _annihilates_mod(a: np.ndarray, basis: np.ndarray, p: int) -> bool:
+    """Whether a @ x = 0 mod p for every row x of basis, exactly in int64.
+
+    Entries are residues below p < 2^31. Each x is split into 16-bit
+    halves, so a product is below 2^47 and a dot product over a block of
+    2^15 columns stays below 2^62; the blocks are summed mod p.
+    """
+    high, low = np.divmod(basis, 1 << 16)
+    acc = np.zeros((a.shape[0], basis.shape[0]), dtype=np.int64)
+    for s in range(0, a.shape[1], 1 << 15):
+        block = slice(s, s + (1 << 15))
+        acc = (acc + (a[:, block] @ high[:, block].T % p << 16) + a[:, block] @ low[:, block].T) % p
+    return not acc.any()
+
+
+def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of {x : a x = 0 mod p} as the rows of an int64 array.
+
+    One basis vector per non-pivot column of the reduced row echelon form,
+    in column order, each checked against every row of a.
+    """
+    a = a % p
+    rref, pivot_cols = _rref_mod(a, p)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivot_cols] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivot_cols] = (-rref[: len(pivot_cols), free].T) % p
+    if not _annihilates_mod(a, basis, p):
+        raise ArithmeticError("nullspace vector failed verification")
+    return basis
+
+
 def nullspace(m: ExactMatrix) -> List[List[Scalar]]:
     """Basis of the right nullspace {x : m x = 0}, each vector re-verified."""
     field = m.field
-    basis: List[List[Scalar]] = []
     if field.char:
-        p = field.char
-        rref, pivot_cols = _rref_mod(m.to_int64(), p)
-        free = [c for c in range(m.ncols) if c not in set(pivot_cols)]
-        for fcol in free:
-            x = [0] * m.ncols
-            x[fcol] = 1
-            for row_idx, pc in enumerate(pivot_cols):
-                x[pc] = int((-rref[row_idx, fcol]) % p)
-            basis.append(x)
-    else:
-        work = [dict(r) for r in m.rows]
-        pivots = _rref_sparse(work, m.ncols, field)
-        pivot_cols = {col for col, _ in pivots}
-        free = [c for c in range(m.ncols) if c not in pivot_cols]
-        for fcol in free:
-            x = [field.zero] * m.ncols
-            x[fcol] = field.one
-            for col, idx in pivots:
-                x[col] = field.neg(work[idx].get(fcol, field.zero))
-            basis.append(x)
+        return nullspace_mod(m.to_int64(), field.char).tolist()
+    work = [dict(r) for r in m.rows]
+    pivots = _rref_sparse(work, m.ncols, field)
+    pivot_cols = {col for col, _ in pivots}
+    free = [c for c in range(m.ncols) if c not in pivot_cols]
+    basis: List[List[Scalar]] = []
+    for fcol in free:
+        x = [field.zero] * m.ncols
+        x[fcol] = field.one
+        for col, idx in pivots:
+            x[col] = field.neg(work[idx].get(fcol, field.zero))
+        basis.append(x)
     for x in basis:
         if any(v for v in m.mat_vec(x)):
             raise ArithmeticError("nullspace vector failed verification")

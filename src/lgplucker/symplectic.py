@@ -146,35 +146,47 @@ class ExteriorVector:
         return f"ExteriorVector(n={self.n}, grade={self.grade}, {{{terms}}})"
 
 
-def _det(rows: List[List[Scalar]], field: Field) -> Scalar:
-    """Determinant by exact Gaussian elimination with division."""
-    k = len(rows)
-    rows = [list(r) for r in rows]
-    det = field.one
-    for c in range(k):
-        piv = -1
-        for r in range(c, k):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv < 0:
-            return field.zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = field.neg(det)
-        det = field.mul(det, rows[c][c])
-        inv = field.inv(rows[c][c])
-        for r in range(c + 1, k):
-            if rows[r][c]:
-                f = field.mul(rows[r][c], inv)
-                rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[c])]
-    return det
+class LaplaceTable(NamedTuple):
+    """The Laplace expansion of every (j + 1)-minor along its last row.
+
+    ``tuples`` are the index tuples of length j + 1 over [1, m] in
+    canonical order. Row r of ``column`` and ``previous`` lists, for each
+    position pos of ``tuples[r]``, the 0-based column of its entry there
+    and the canonical position of the j-tuple left when it is removed.
+    The term at pos carries the sign (-1)^(j + pos).
+    """
+
+    tuples: List[IndexTuple]
+    column: np.ndarray
+    previous: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def laplace_table(j: int, m: int) -> LaplaceTable:
+    """Index table taking the j-minors of the first j rows to the
+    (j + 1)-minors of the first j + 1 rows, in ambient dimension m."""
+    before = {t: r for r, t in enumerate(index_tuples(j, m))}
+    tuples = index_tuples(j + 1, m)
+    column = [[i - 1 for i in t] for t in tuples]
+    previous = [[before[t[:pos] + t[pos + 1 :]] for pos in range(j + 1)] for t in tuples]
+    return LaplaceTable(
+        tuples,
+        np.array(column, dtype=np.intp).reshape(len(tuples), j + 1),
+        np.array(previous, dtype=np.intp).reshape(len(tuples), j + 1),
+    )
 
 
 def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
     """Wedge of coordinate vectors; coefficient at alpha is the alpha-minor.
 
-    Linearly dependent inputs simply give the zero vector.
+    The minors are built one row at a time by Laplace expansion along the
+    last row: with w_j the j-minors of the first j rows,
+    w_{j+1}[T] = sum over pos of (-1)^(j + pos) v_{j+1}[T_pos] w_j[T - T_pos].
+    Over GF(p) this runs on int64 residues, each product below p^2 < 2^62
+    reduced before the alternating sum, so it is exact for every
+    p < MAX_PRIME; over QQ the same gathers run on an object array of
+    Fractions. No step divides. Linearly dependent inputs simply give the
+    zero vector.
     """
     vecs = [[field.coerce(v) for v in row] for row in vectors]
     k = len(vecs)
@@ -183,12 +195,23 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
     for row in vecs:
         if len(row) != 2 * n:
             raise ValueError(f"vectors must have length {2 * n}")
-    coords: Dict[IndexTuple, Scalar] = {}
-    for alpha in index_tuples(k, 2 * n):
-        minor = [[vec[a - 1] for a in alpha] for vec in vecs]
-        d = _det(minor, field)
-        if d:
-            coords[alpha] = d
+    if k == 0:
+        return ExteriorVector(n, 0, field, {(): field.one})
+    p = field.char
+    v = np.array(vecs, dtype=np.int64 if p else object)
+    w = v[0]
+    tuples = index_tuples(1, 2 * n)
+    for j in range(1, k):
+        table = laplace_table(j, 2 * n)
+        terms = v[j][table.column] * w[table.previous]
+        if p:
+            terms %= p
+        even, odd = terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1)
+        w = even - odd if j % 2 == 0 else odd - even
+        if p:
+            w %= p
+        tuples = table.tuples
+    coords = {t: c for t, c in zip(tuples, w.tolist()) if c}
     return ExteriorVector(n, k, field, coords)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lgplucker import atlas, incidence_configuration, incidence_matrix
@@ -58,6 +60,18 @@ class TestCoord:
         with pytest.raises(ValueError):
             parse_coord("2 2 2\n1 1\n")
 
+    def test_negative_dimensions(self):
+        with pytest.raises(ValueError):
+            parse_coord("-1 -3 0\n")
+
+    def test_entry_with_wrong_token_count_names_its_line(self):
+        with pytest.raises(ValueError, match="line 3"):
+            parse_coord("2 2 2\n1 1\n2 2 1\n")
+
+    def test_non_integer_entry_names_its_line(self):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_coord("2 2 1\n1 x\n")
+
 
 class TestAlist:
     def test_l4_header_and_weights(self):
@@ -89,6 +103,12 @@ class TestAlist:
         with pytest.raises(ValueError):
             parse_alist(text)
 
+    def test_repeated_index_in_a_line(self):
+        # column 1 lists row 1 twice; a silent dedup would give a 1x1
+        # matrix with one entry that does not re-serialize to this text
+        with pytest.raises(ValueError, match="repeats"):
+            parse_alist("1 1\n2 2\n2\n2\n1 1\n1 1\n")
+
     def test_inconsistent_adjacency(self):
         # column lists give entries (1,1) and (2,2); row lists transpose them
         text = "2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n"
@@ -106,6 +126,32 @@ class TestJson:
     def test_nnz_mismatch_rejected(self):
         with pytest.raises(ValueError):
             parse_json('{"rows": 1, "cols": 2, "nnz": 5, "entries": [[1, 1]]}')
+
+    @pytest.mark.parametrize("entry", ["[1.0, 2]", "[1, 2.0]", "[true, 2]", "[1, true]"])
+    def test_float_or_boolean_entry_rejected(self, entry):
+        with pytest.raises(ValueError):
+            parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [%s]}' % entry)
+
+    @pytest.mark.parametrize("key", ["rows", "cols", "nnz"])
+    def test_float_size_field_rejected(self, key):
+        doc = {"rows": 1, "cols": 2, "nnz": 1, "entries": [[1, 2]]}
+        doc[key] = float(doc[key])
+        with pytest.raises(ValueError):
+            parse_json(json.dumps(doc))
+
+    def test_string_entry_rejected(self):
+        with pytest.raises(ValueError):
+            parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [["1", 2]]}')
+
+    @pytest.mark.parametrize("entry", ["7", '"12"', "null"])
+    def test_entry_that_is_not_a_pair_rejected(self, entry):
+        with pytest.raises(ValueError):
+            parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [%s]}' % entry)
+
+    @pytest.mark.parametrize("text", ["5", "null"])
+    def test_top_level_not_an_object_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_json(text)
 
 
 class TestCarrier:

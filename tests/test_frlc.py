@@ -14,6 +14,8 @@ from lgplucker import (
     contraction_functional,
     coordinate_vector,
     functional_matrix,
+    index_tuples,
+    nullspace,
     plucker_vector,
     random_lagrangian,
     rank,
@@ -209,3 +211,12 @@ class TestVanishingSpace:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             vanishing_space([], QQ)
+
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+    def test_int64_path_matches_exact_matrix_oracle(self, n, q):
+        field = GF(q)
+        points = enumerated_points(n, q)
+        m = ExactMatrix.from_rows([arranged_coordinates(w) for w in points], field)
+        cols = index_tuples(n, 2 * n)
+        want = [{cols[j]: v for j, v in enumerate(vec) if v} for vec in nullspace(m)]
+        assert [h.coeffs for h in vanishing_space(points, field)] == want

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lgplucker import (
@@ -17,6 +18,7 @@ from lgplucker import (
     rank_report,
     row_space_equal,
 )
+from lgplucker.linalg import nullspace_mod
 from conftest import bmatrix
 
 
@@ -64,6 +66,19 @@ class TestNullspace:
         assert len(basis) == 7 - rank(m)
         for x in basis:
             assert not any(m.mat_vec(x))
+
+    def test_largest_prime_verification_stays_exact(self):
+        # random residues mod p = 2^31 - 1: each dot product sums eleven
+        # products of up to 2^62, so a plain int64 a @ x wraps and would
+        # reject the correct basis
+        p = 2147483647
+        rng = random.Random(3)
+        rows = [[rng.randrange(p) for _ in range(20)] for _ in range(10)]
+        basis = nullspace_mod(np.array(rows, dtype=np.int64), p)
+        assert basis.shape == (10, 20)
+        assert ((np.array(rows, dtype=np.int64) @ basis.T) % p).any()
+        for x in basis.tolist():
+            assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
 
     def test_kernel_is_contraction_kernel(self):
         # nullspace vectors, read as pair-adjacent coordinates, have zero

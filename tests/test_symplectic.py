@@ -26,8 +26,8 @@ from lgplucker import (
     satisfies_plucker_relations,
     wedge,
 )
-from lgplucker.symplectic import failing_plucker_relation, plucker_relation_table
-from conftest import enumerated_points
+from lgplucker.symplectic import failing_plucker_relation, laplace_table, plucker_relation_table
+from conftest import enumerated_bases, enumerated_points
 
 
 def unit(i, n):
@@ -105,6 +105,95 @@ class TestWedge:
     def test_dependent_rows_vanish(self):
         w = wedge([[1, 2, 3, 4], [2, 4, 6, 8]], 2, QQ)
         assert w.is_zero()
+
+    def test_no_rows_give_the_unit(self):
+        assert wedge([], 2, GF(3)).coords == {(): 1}
+        assert wedge([], 2, QQ) == ExteriorVector(2, 0, QQ, {(): 1})
+
+    def test_too_many_or_wrong_length_rows_rejected(self):
+        with pytest.raises(ValueError):
+            wedge([unit(i, 2) for i in range(1, 5)] + [[1, 1, 1, 1]], 2, QQ)
+        with pytest.raises(ValueError):
+            wedge([[1, 0, 0]], 2, QQ)
+
+
+def _det(rows, field):
+    """Determinant by exact Gaussian elimination with division."""
+    k = len(rows)
+    rows = [list(r) for r in rows]
+    det = field.one
+    for c in range(k):
+        piv = next((r for r in range(c, k) if rows[r][c]), -1)
+        if piv < 0:
+            return field.zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = field.neg(det)
+        det = field.mul(det, rows[c][c])
+        inv = field.inv(rows[c][c])
+        for r in range(c + 1, k):
+            if rows[r][c]:
+                f = field.mul(rows[r][c], inv)
+                rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def literal_wedge(vectors, n, field):
+    """The wedge read off its definition: every alpha-minor by elimination."""
+    vecs = [[field.coerce(v) for v in row] for row in vectors]
+    coords = {}
+    for alpha in index_tuples(len(vecs), 2 * n):
+        d = _det([[vec[a - 1] for a in alpha] for vec in vecs], field)
+        if d:
+            coords[alpha] = d
+    return ExteriorVector(n, len(vecs), field, coords)
+
+
+class TestWedgeAgainstLiteral:
+    def test_table_built_once_per_size(self):
+        table = laplace_table(2, 6)
+        assert table is laplace_table(2, 6)
+        assert table.column.shape == table.previous.shape == (20, 3)
+        assert table.tuples == index_tuples(3, 6)
+
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+    def test_enumerated_points(self, n, q):
+        field = GF(q)
+        for lag in enumerated_bases(n, q):
+            assert plucker_vector(lag) == literal_wedge(lag.rows, n, field)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_rational_lagrangians_with_fractions(self, n):
+        lag = random_lagrangian(n, QQ, seed=n)
+        assert any(v.denominator != 1 for row in lag.rows for v in row)
+        assert plucker_vector(lag) == literal_wedge(lag.rows, n, QQ)
+
+    def test_largest_prime(self):
+        field = GF(2147483647)
+        p = field.char
+        rng = random.Random(8)
+        for k in range(7):
+            rows = [[rng.randrange(p) for _ in range(6)] for _ in range(k)]
+            assert wedge(rows, 3, field) == literal_wedge(rows, 3, field)
+        # a last row of p - 1 at every odd column: the three products of
+        # the full minor's expansion, each below 2^62, sum past 2^63 about
+        # one draw in six unless each is reduced first
+        for _ in range(30):
+            rows = [[rng.randrange(p) for _ in range(6)] for _ in range(5)] + [[p - 1, 0] * 3]
+            assert wedge(rows, 3, field) == literal_wedge(rows, 3, field)
+
+    @given(st.data())
+    def test_random_matrices(self, data):
+        n = data.draw(st.integers(1, 3))
+        field = data.draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+        k = data.draw(st.integers(0, 2 * n))
+        entry = st.integers(-4, 4)
+        rows = [data.draw(st.lists(entry, min_size=2 * n, max_size=2 * n)) for _ in range(k)]
+        if k >= 2 and data.draw(st.booleans()):
+            # make the last row a combination of the others
+            coeffs = data.draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+            rows[-1] = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(2 * n)]
+        assert wedge(rows, n, field) == literal_wedge(rows, n, field)
 
 
 class TestContract:
