@@ -116,12 +116,11 @@ class PrimeField(Field):
         self.one = 1 % p
 
     def coerce(self, x) -> int:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                return self.div(x.numerator % self.char, x.denominator % self.char)
-            x = x.numerator
+        # int first: the Fraction test is a slower ABC instance check
         if isinstance(x, int):
             return x % self.char
+        if isinstance(x, Fraction):
+            return self.div(x.numerator % self.char, x.denominator % self.char)
         raise TypeError(f"exact arithmetic only, got {type(x).__name__}")
 
     def add(self, a, b):

@@ -192,6 +192,18 @@ def rank(m: ExactMatrix) -> int:
     return len(_rref_sparse(work, m.ncols, m.field))
 
 
+def independent_rows(m: ExactMatrix) -> List[int]:
+    """Indices of the rows of m outside the span of the rows before them.
+
+    They are the pivot columns of the reduced row echelon form of the
+    transpose, and the rows they pick form a basis of the row space.
+    """
+    t = m.transpose()
+    if m.field.char:
+        return _rref_mod(t.to_int64(), m.field.char)[1]
+    return [col for col, _ in _rref_sparse(t.rows, t.ncols, m.field)]
+
+
 def _annihilates_mod(a: np.ndarray, basis: np.ndarray, p: int) -> bool:
     """Whether a @ x = 0 mod p for every row x of basis, exactly in int64.
 

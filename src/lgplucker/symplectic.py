@@ -363,7 +363,6 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
     dimension k < n has a strictly larger perpendicular.
     """
     rng = random.Random(seed)
-    j = gram_matrix(n)
     rows: List[List[Scalar]] = []
 
     def perp_basis() -> List[List[Scalar]]:
@@ -374,18 +373,10 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
                 v[i] = field.one
                 eye.append(v)
             return eye
-        # row r constrains y through sum_c (r J)_c y_c = 0
-        pair_rows = []
-        for r in rows:
-            u = []
-            for c in range(2 * n):
-                s = field.zero
-                for d in range(2 * n):
-                    jdc = j[d][c]
-                    if jdc:
-                        s = field.add(s, r[d] if jdc > 0 else field.neg(r[d]))
-                u.append(s)
-            pair_rows.append(u)
+        # row r constrains y through sum_c <r, e_c> y_c = 0, where <r, e_c>
+        # is r[cbar] for c >= n and -r[cbar] below, cbar = 2n - 1 - c
+        last = 2 * n - 1
+        pair_rows = [[r[last - c] if c >= n else field.neg(r[last - c]) for c in range(2 * n)] for r in rows]
         return linalg.nullspace(linalg.ExactMatrix.from_rows(pair_rows, field))
 
     while len(rows) < n:
@@ -415,42 +406,26 @@ def lagrangian_count(n: int, q: int) -> int:
     return prod(1 + q**i for i in range(1, n + 1))
 
 
-def _affine_solutions(a: np.ndarray, b: np.ndarray, p: int) -> Iterator[np.ndarray]:
-    """All solutions of a x = b over GF(p), in a deterministic order."""
-    ncols = a.shape[1]
-    if a.shape[0] == 0:
-        a = np.zeros((0, ncols), dtype=np.int64)
-    aug = np.concatenate([a % p, b.reshape(-1, 1) % p], axis=1)
-    rref, pivot_cols = linalg._rref_mod(aug, p)
-    if ncols in pivot_cols:
-        return
-    free = [c for c in range(ncols) if c not in set(pivot_cols)]
-    particular = np.zeros(ncols, dtype=np.int64)
-    for row_idx, pc in enumerate(pivot_cols):
-        particular[pc] = rref[row_idx, ncols]
-    null_basis = []
-    for fcol in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[fcol] = 1
-        for row_idx, pc in enumerate(pivot_cols):
-            v[pc] = (-rref[row_idx, fcol]) % p
-        null_basis.append(v)
-    for coeffs in product(range(p), repeat=len(null_basis)):
-        x = particular.copy()
-        for c, v in zip(coeffs, null_basis):
-            if c:
-                x = x + c * v
-        yield x % p
-
-
 def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
     """All Lagrangian subspaces over GF(q), one canonical basis each.
 
     Emits the unique reduced row echelon representative of every
     n-dimensional isotropic subspace of GF(q)^(2n), grouped by pivot
-    column set in lexicographic order. Rows are generated top-down with
-    the isotropy conditions against the fixed earlier rows solved as
-    linear systems, so the work stays proportional to the output.
+    column set in lexicographic order. Each group is a Schubert cell,
+    an affine space written down directly, so nothing is solved.
+
+    In 0-based columns c pairs with cbar = 2n - 1 - c. Only the 2^n pivot
+    sets P = (p_0 < ... < p_{n-1}) holding no pair {c, cbar} occur, and
+    their non-pivot columns are the pbar_s, so row r is
+    e_{p_r} + sum_s X[r, s] e_{pbar_s}. The rows are isotropic exactly
+    when eps_s X[r, s] is symmetric in (r, s), where
+    eps_s = <e_{p_s}, e_{pbar_s}> is +1 for p_s < n and -1 otherwise.
+    Echelon form forces X[r, s] = 0 unless pbar_s > p_r, that is
+    p_r + p_s < 2n - 1, a condition symmetric in r and s. So the cell has
+    one free value y per pair r <= s with p_r + p_s < 2n - 1, setting
+    X[r, s] = eps_s y and X[s, r] = eps_r y. Within a cell the free values
+    run through GF(q)^d in lexicographic order, the pairs ordered by r
+    and then s, and the first pair varying slowest.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -461,30 +436,20 @@ def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
             f"{total} subspaces exceed the enumeration cap {ENUMERATION_CAP}; "
             "use random_lagrangian for sampling instead"
         )
-    p = field.char
-    jmat = np.array(gram_matrix(n), dtype=np.int64) % p
-
-    def extend(pivots: Tuple[int, ...], rows: List[np.ndarray], pair_forms: List[np.ndarray]) -> Iterator[List[np.ndarray]]:
-        a = len(rows)
-        if a == n:
-            yield rows
-            return
-        jcol = pivots[a]
-        free_cols = [c for c in range(2 * n) if c not in pivots and c > jcol]
-        amat = np.array([[u[c] for c in free_cols] for u in pair_forms], dtype=np.int64)
-        if not pair_forms:
-            amat = amat.reshape(0, len(free_cols))
-        rhs = np.array([(-u[jcol]) % p for u in pair_forms], dtype=np.int64)
-        for x in _affine_solutions(amat, rhs, p):
-            row = np.zeros(2 * n, dtype=np.int64)
-            row[jcol] = 1
-            for c, v in zip(free_cols, x):
-                row[c] = v
-            yield from extend(pivots, rows + [row], pair_forms + [(row @ jmat) % p])
-
+    last = 2 * n - 1
     for pivots in combinations(range(2 * n), n):
-        for rows in extend(pivots, [], []):
-            yield SubspaceBasis(n, field, [[int(v) for v in row] for row in rows])
+        if any(last - c in pivots for c in pivots):
+            continue
+        eps = [1 if c < n else -1 for c in pivots]
+        free = [(r, s) for r in range(n) for s in range(r, n) if pivots[r] + pivots[s] < last]
+        for values in product(range(q), repeat=len(free)):
+            rows = [[0] * (2 * n) for _ in range(n)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+            for (r, s), y in zip(free, values):
+                rows[r][last - pivots[s]] = eps[s] * y % q
+                rows[s][last - pivots[r]] = eps[r] * y % q
+            yield SubspaceBasis(n, field, rows)
 
 
 class PluckerRelationTable(NamedTuple):

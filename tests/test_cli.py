@@ -163,6 +163,12 @@ class TestCount:
         doc = json.loads(capsys.readouterr().out)
         assert doc["formula"] == 156 and doc["enumerated"] == 156
 
+    @pytest.mark.parametrize("n,q", [(3, 1000), (30, 1), (7, 4)])
+    def test_invalid_q_rejected_above_cap(self, n, q, capsys):
+        assert main(["count", "--n", str(n), "--q", str(q)]) == 1
+        captured = capsys.readouterr()
+        assert "invalid arguments" in captured.err and captured.out == ""
+
 
 class TestExportLdpc:
     def test_l4_alist(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lgplucker import GF, QQ
@@ -27,6 +28,18 @@ def test_prime_field_arithmetic():
     assert f.neg(2) == 5
     assert f.coerce(-1) == 6
     assert f.coerce(Fraction(1, 2)) == f.inv(2)
+
+
+def test_prime_field_coerce():
+    f = GF(7)
+    values = [10, True, False, -8, Fraction(3, 2), Fraction(-14, 2), Fraction(9, 1)]
+    assert [f.coerce(x) for x in values] == [3, 1, 0, 6, 5, 0, 2]
+    assert all(type(f.coerce(x)) is int for x in values)
+    for bad in (0.5, "3", np.int64(3)):
+        with pytest.raises(TypeError):
+            f.coerce(bad)
+    with pytest.raises(ZeroDivisionError):
+        f.coerce(Fraction(1, 14))
 
 
 def test_gf_requires_prime():

@@ -18,7 +18,7 @@ from lgplucker import (
     rank_report,
     row_space_equal,
 )
-from lgplucker.linalg import nullspace_mod
+from lgplucker.linalg import independent_rows, nullspace_mod
 from conftest import bmatrix
 
 
@@ -113,6 +113,28 @@ class TestRowSpace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             row_space_equal(identity(2, QQ), identity(3, QQ))
+
+
+class TestIndependentRows:
+    def test_literal(self):
+        rows = [[1, 2], [0, 0], [2, 4], [0, 1], [1, 3]]
+        assert independent_rows(ExactMatrix.from_rows(rows, QQ)) == [0, 3]
+        assert independent_rows(ExactMatrix.zeros(0, 3, GF(5))) == []
+
+    @pytest.mark.parametrize("field", [GF(2), GF(5), QQ])
+    def test_matches_greedy_rank_oracle(self, field):
+        rng = random.Random(5)
+        for _ in range(30):
+            ncols = rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 9))]
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+            picked, kept = [], []
+            for i, row in enumerate(rows):
+                if rank(ExactMatrix.from_rows(kept + [row], field)) > len(kept):
+                    picked.append(i)
+                    kept.append(row)
+            assert independent_rows(ExactMatrix.from_rows(rows, field)) == picked
 
 
 class TestRankReport:

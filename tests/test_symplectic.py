@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -312,6 +313,37 @@ class TestRandomLagrangian:
     def test_deterministic(self):
         assert random_lagrangian(3, GF(5), 7) == random_lagrangian(3, GF(5), 7)
 
+    def test_pinned_draws(self):
+        assert random_lagrangian(3, QQ, seed=4).rows == (
+            (-2, 0, -6, 3, 6, -5),
+            (Fraction(-101, 5), -7, -7, -9, 3, 8),
+            (Fraction(-884, 105), Fraction(-85, 63), 0, -8, -2, 7),
+        )
+        assert random_lagrangian(4, GF(7), seed=2).rows == (
+            (6, 6, 0, 0, 0, 2, 6, 1),
+            (1, 5, 6, 5, 6, 2, 2, 4),
+            (6, 0, 1, 4, 0, 4, 5, 1),
+            (2, 3, 2, 3, 5, 3, 6, 5),
+        )
+
+
+def rref_isotropic_bases(n, q):
+    """Brute-force oracle: every n x 2n reduced row echelon matrix over
+    GF(q) whose rows pair to zero, as a set of row tuples."""
+    field = GF(q)
+    found = set()
+    for pivots in combinations(range(2 * n), n):
+        slots = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, 2 * n) if c not in pivots]
+        for values in product(range(q), repeat=len(slots)):
+            rows = [[0] * (2 * n) for _ in range(n)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = 1
+            for (r, c), v in zip(slots, values):
+                rows[r][c] = v
+            if not any(pairing(a, b, n, field) for a, b in combinations(rows, 2)):
+                found.add(tuple(map(tuple, rows)))
+    return found
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,q,expected", [(2, 2, 15), (2, 3, 40), (3, 2, 135)])
@@ -339,6 +371,35 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             next(iter(lagrangian_subspaces(6, 2)))
+
+    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_matches_rref_oracle(self, n, q):
+        rows = [lag.rows for lag in enumerated_bases(n, q)]
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == rref_isotropic_bases(n, q)
+
+    @pytest.mark.parametrize("n,q", [(2, 5), (3, 3), (4, 2)])
+    def test_reduced_echelon_grouped_by_pivot_set(self, n, q):
+        cells = []
+        for lag in enumerated_bases(n, q):
+            pivots = tuple(next(j for j, v in enumerate(row) if v) for row in lag.rows)
+            assert list(pivots) == sorted(set(pivots))
+            for r, c in enumerate(pivots):
+                assert [row[c] for row in lag.rows] == [int(i == r) for i in range(n)]
+            cells.append(pivots)
+        assert cells == sorted(cells)
+        assert len(set(cells)) == 2**n
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cell_dimensions_sum_to_point_count(self, n):
+        # one pivot set per choice of c or 2n - 1 - c for each c < n, with
+        # a free value for every r <= s whose pivots p_r + p_s < 2n - 1
+        dims = []
+        for choice in product(*[(c, 2 * n - 1 - c) for c in range(n)]):
+            p = sorted(choice)
+            dims.append(sum(1 for r in range(n) for s in range(r, n) if p[r] + p[s] < 2 * n - 1))
+        for q in (2, 3, 5, 7):
+            assert sum(q**d for d in dims) == lagrangian_count(n, q)
 
 
 def interior_product_rank(w):
