@@ -17,6 +17,7 @@ separately.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -24,7 +25,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .combinatorics import IndexTuple, index_tuples, row_partition, split_free_pairs
+from . import linalg
+from .combinatorics import IndexTuple, index_tuples
+from .fields import Field
 from .frlc import PlueckerMatrix
 
 PairTuple = Tuple[int, ...]
@@ -74,6 +77,10 @@ class IncidenceMatrix:
 
     def column_weights(self) -> List[int]:
         return [int(x) for x in self.bits.sum(axis=0)]
+
+    def to_exact(self, field: Field) -> linalg.ExactMatrix:
+        rows = [{int(j): field.one for j in np.flatnonzero(row)} for row in self.bits]
+        return linalg.ExactMatrix(*self.shape, field, rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -178,7 +185,7 @@ def verify_block_equiv(block: IncidenceMatrix, reference: IncidenceMatrix) -> Tu
     renumbering of its surviving pairs onto 1..m is the only relabeling
     tried. Returns (row_perm, col_perm) with block[i, j] ==
     reference[row_perm[i], col_perm[j]]; raises BlockEquivalenceError
-    otherwise.
+    otherwise, naming the first differing row and column.
     """
     if block.shape != reference.shape or block.m != reference.m:
         raise BlockEquivalenceError(
@@ -196,12 +203,12 @@ def verify_block_equiv(block: IncidenceMatrix, reference: IncidenceMatrix) -> Tu
         col_perm = tuple(ref_col_pos[tuple(renumber[x] for x in lbl)] for lbl in block.col_labels)
     except KeyError as exc:
         raise BlockEquivalenceError(f"relabeled subset {exc} missing from the reference") from exc
-    for i in range(block.shape[0]):
-        for j in range(block.shape[1]):
-            if block.bits[i, j] != reference.bits[row_perm[i], col_perm[j]]:
-                raise BlockEquivalenceError(
-                    f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}"
-                )
+    differ = block.bits != reference.bits.take(row_perm, axis=0).take(col_perm, axis=1)
+    if differ.any():
+        i, j = np.argwhere(differ)[0]
+        raise BlockEquivalenceError(
+            f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}"
+        )
     return row_perm, col_perm
 
 
@@ -224,11 +231,16 @@ class Block:
 
 @dataclass
 class BlockDecomposition:
-    """Partition of the relation matrix into atlas blocks plus zero columns."""
+    """Partition of the relation matrix into atlas blocks plus zero columns.
+
+    ``references`` maps each m that occurs to the atlas member L(m) its
+    blocks were checked against.
+    """
 
     n: int
     blocks: List[Block]
     zero_columns: Tuple[IndexTuple, ...]
+    references: Dict[int, IncidenceMatrix]
 
     def census(self) -> Dict[str, int]:
         """Multiplicity of each atlas label, largest first."""
@@ -237,6 +249,28 @@ class BlockDecomposition:
             out[blk.label] = out.get(blk.label, 0) + 1
         return out
 
+    def rank(self, field: Field) -> int:
+        """Rank of the decomposed matrix over field.
+
+        The matrix is the direct sum of its blocks and zero columns, and
+        each block is its atlas member L(m) up to row and column
+        permutations, so its rank is the sum over m of the number of
+        blocks with that m times rank(L(m)). Only the distinct atlas
+        members are eliminated.
+        """
+        counts = Counter(blk.m for blk in self.blocks)
+        return sum(c * linalg.rank(self.references[m].to_exact(field)) for m, c in counts.items())
+
+
+def _split(t: IndexTuple, n: int) -> Tuple[IndexTuple, PairTuple]:
+    """Free part of the canonical tuple t and the low ends of its complete pairs."""
+    support = set(t)
+    top = 2 * n + 1
+    return (
+        tuple([x for x in t if top - x not in support]),
+        tuple([x for x in t if x <= n and top - x in support]),
+    )
+
 
 def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     """Split the relation matrix into its incidence blocks and verify each.
@@ -244,42 +278,50 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     Rows are grouped by the free part of their tuple; a class with free
     part of size t restricts to the columns it touches as a copy of the
     atlas member for m = n - t, checked bit for bit through the canonical
-    pair renumbering. Every column left over must contain no complete
-    pair.
+    pair renumbering. No column may be touched by two classes, every
+    column left over must contain no complete pair, and the block widths
+    plus the zero columns must add up to C(2n, n): B is then the direct
+    sum of its blocks and the zero columns.
     """
     n = b.n
-    col_rank = {t: j for j, t in enumerate(b.col_tuples)}
-    row_rank = {t: i for i, t in enumerate(b.row_tuples)}
+    classes: Dict[IndexTuple, List[int]] = {}
+    row_labels: List[PairTuple] = []
+    for i, t in enumerate(b.row_tuples):
+        free, lows = _split(t, n)
+        classes.setdefault(free, []).append(i)
+        row_labels.append(lows)
+    col_labels = [_split(t, n)[1] for t in b.col_tuples]
+    owner: List[IndexTuple | None] = [None] * len(b.col_tuples)
     references: Dict[int, IncidenceMatrix] = {}
     blocks: List[Block] = []
-    covered = set()
-    for free, row_tuples in row_partition(n).items():
+    for free, rows_idx in classes.items():
         m = n - len(free)
         if m not in references:
             references[m] = incidence_matrix(incidence_configuration(m))
-        rows_idx = [row_rank[t] for t in row_tuples]
         col_idx = sorted({j for i in rows_idx for j in b.row_supports[i]})
-        covered.update(col_idx)
+        for j in col_idx:
+            if owner[j] is not None:
+                raise DecompositionError(
+                    f"column {b.col_tuples[j]} is claimed by the blocks of free parts {owner[j]} and {free}"
+                )
+            owner[j] = free
         col_pos = {j: k for k, j in enumerate(col_idx)}
-        bits = np.zeros((len(rows_idx), len(col_idx)), dtype=np.int8)
-        for k, i in enumerate(rows_idx):
-            for j in b.row_supports[i]:
-                bits[k, col_pos[j]] = 1
-        row_labels = tuple(
-            tuple(p.low for p in split_free_pairs(t, n).pairs) for t in row_tuples
+        width = len(col_idx)
+        bits = np.zeros(len(rows_idx) * width, dtype=np.int8)
+        bits[[k * width + col_pos[j] for k, i in enumerate(rows_idx) for j in b.row_supports[i]]] = 1
+        mat = IncidenceMatrix(
+            m,
+            bits.reshape(len(rows_idx), width),
+            tuple(row_labels[i] for i in rows_idx),
+            tuple(col_labels[j] for j in col_idx),
         )
-        col_tuples = tuple(b.col_tuples[j] for j in col_idx)
-        col_labels = tuple(
-            tuple(p.low for p in split_free_pairs(t, n).pairs) for t in col_tuples
-        )
-        mat = IncidenceMatrix(m, bits, row_labels, col_labels)
         row_perm, col_perm = verify_block_equiv(mat, references[m])
         blocks.append(
             Block(
                 free=free,
                 m=m,
-                row_tuples=tuple(row_tuples),
-                col_tuples=col_tuples,
+                row_tuples=tuple(b.row_tuples[i] for i in rows_idx),
+                col_tuples=tuple(b.col_tuples[j] for j in col_idx),
                 matrix=mat,
                 row_perm=row_perm,
                 col_perm=col_perm,
@@ -287,9 +329,14 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
         )
     zero_cols = []
     for j, t in enumerate(b.col_tuples):
-        if j in covered:
+        if owner[j] is not None:
             continue
-        if split_free_pairs(t, n).pairs:
+        if col_labels[j]:
             raise DecompositionError(f"uncovered column {t} contains a complete pair")
         zero_cols.append(t)
-    return BlockDecomposition(n=n, blocks=blocks, zero_columns=tuple(zero_cols))
+    covered = sum(len(blk.col_tuples) for blk in blocks)
+    if covered + len(zero_cols) != comb(2 * n, n):
+        raise DecompositionError(
+            f"{covered} block columns and {len(zero_cols)} zero columns, expected {comb(2 * n, n)} in all"
+        )
+    return BlockDecomposition(n=n, blocks=blocks, zero_columns=tuple(zero_cols), references=references)

@@ -178,7 +178,7 @@ def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
     vanishing = frlc.vanishing_space(points, field)
     vanishing_m = frlc.functional_matrix(vanishing, n, field)
     b_exact = b.to_exact(field)
-    rank_qq = linalg.rank(b.to_exact(QQ))
+    rank_qq = blocks.decompose(b).rank(QQ)
     # One greedy pass over the rows of B and then the vanishing rows: the
     # vanishing rows it picks are a basis of the vanishing space modulo B.
     picked = linalg.independent_rows(b_exact.stacked(vanishing_m))

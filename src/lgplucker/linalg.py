@@ -6,8 +6,13 @@ Two elimination back ends, both exact with no tolerances anywhere:
   (products of two reduced residues stay inside int64 for the allowed
   moduli);
 * the rationals go through sparse Gauss-Jordan on dict-backed rows with
-  Fraction arithmetic and shortest-row pivoting, which keeps the very
-  sparse 0/1 relation matrices cheap at every supported size.
+  Fraction arithmetic and shortest-row pivoting.
+
+The rank of the relation matrix itself (``rank_report``,
+``embedding_rank``) comes from its verified block decomposition, so
+elimination there only ever sees the atlas members (15 x 20 at most for
+n <= 7); the full matrix is eliminated only where its rows are needed,
+or as a test oracle.
 """
 
 from __future__ import annotations
@@ -295,12 +300,23 @@ def field_of_characteristic(characteristic: int) -> Field:
     return QQ if characteristic == 0 else GF(characteristic)
 
 
-def embedding_rank(n: int, field: Field) -> int:
-    """Dimension count C(2n, n) minus the rank of the relation matrix."""
+def _relation_rank(n: int, field: Field) -> int:
+    """Rank of the relation matrix B(n) over field, from its block structure.
+
+    B(n) is built and decomposed afresh, every block checked against its
+    atlas member, and the rank summed block by block (see
+    ``BlockDecomposition.rank``): only the atlas members are eliminated,
+    never B itself.
+    """
+    from .blocks import decompose
     from .frlc import build_plucker_matrix
 
-    b = build_plucker_matrix(n)
-    return comb(2 * n, n) - rank(b.to_exact(field))
+    return decompose(build_plucker_matrix(n)).rank(field)
+
+
+def embedding_rank(n: int, field: Field) -> int:
+    """Dimension count C(2n, n) minus the rank of the relation matrix."""
+    return comb(2 * n, n) - _relation_rank(n, field)
 
 
 def rank_report(n: int, characteristic: int) -> RankReport:
@@ -309,11 +325,7 @@ def rank_report(n: int, characteristic: int) -> RankReport:
     Full rank is expected exactly when the characteristic is 0 or at least
     floor((n + 2) / 2); a violation raises RankCriterionViolation.
     """
-    from .frlc import build_plucker_matrix
-
-    field = field_of_characteristic(characteristic)
-    b = build_plucker_matrix(n)
-    r = rank(b.to_exact(field))
+    r = _relation_rank(n, field_of_characteristic(characteristic))
     expected = comb(2 * n, n - 2)
     report = RankReport(
         n=n,

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from lgplucker import (
+    GF,
+    QQ,
     BlockEquivalenceError,
+    DecompositionError,
     IncidenceMatrix,
+    PlueckerMatrix,
     atlas,
     check_regularity,
     decompose,
     incidence_configuration,
     incidence_matrix,
     r_value,
+    rank,
     split_free_pairs,
     verify_block_equiv,
 )
@@ -126,6 +131,15 @@ class TestBlockEquivalence:
         with pytest.raises(BlockEquivalenceError):
             verify_block_equiv(bad, ref)
 
+    def test_mismatch_names_the_first_differing_entry(self):
+        ref = incidence_matrix(incidence_configuration(6))
+        bad = IncidenceMatrix(ref.m, ref.bits.copy(), ref.row_labels, ref.col_labels)
+        bad.bits[4, 1] ^= 1
+        bad.bits[2, 7] ^= 1
+        with pytest.raises(BlockEquivalenceError) as exc:
+            verify_block_equiv(bad, ref)
+        assert str(exc.value) == f"bit mismatch at block row {ref.row_labels[2]}, column {ref.col_labels[7]}"
+
     def test_shape_mismatch(self):
         with pytest.raises(BlockEquivalenceError):
             verify_block_equiv(
@@ -213,3 +227,53 @@ class TestDecomposition:
             for bi, row_t in enumerate(blk.row_tuples):
                 for bj, col_t in enumerate(blk.col_tuples):
                     assert blk.matrix.bits[bi, bj] == b.entry(row_pos[row_t], col_pos[col_t])
+
+
+def corrupted(b, supports=None, col_tuples=None):
+    return PlueckerMatrix(
+        b.n,
+        list(b.row_tuples),
+        list(b.col_tuples) if col_tuples is None else col_tuples,
+        list(b.row_supports) if supports is None else supports,
+    )
+
+
+class TestDirectSum:
+    def test_column_claimed_by_two_blocks(self):
+        # the first class, free part (1, 2), owns the column (1, 2, 3, 6);
+        # a row of the class with free part (1, 3) claims it as well
+        b = bmatrix(4)
+        shared = b.col_tuples.index((1, 2, 3, 6))
+        supports = list(b.row_supports)
+        row = b.row_tuples.index((1, 3))
+        supports[row] = tuple(sorted(supports[row] + (shared,)))
+        with pytest.raises(DecompositionError, match=r"column \(1, 2, 3, 6\) is claimed by the blocks of free parts \(1, 2\) and \(1, 3\)"):
+            decompose(corrupted(b, supports=supports))
+
+    def test_widths_and_zero_columns_must_fill_the_columns(self):
+        b = bmatrix(4)
+        extra = corrupted(b, col_tuples=list(b.col_tuples) + [(1, 2, 3, 4)])
+        with pytest.raises(DecompositionError, match="54 block columns and 17 zero columns, expected 70 in all"):
+            decompose(extra)
+
+    def test_n7_column_split(self):
+        dec = decompose(bmatrix(7))
+        assert (sum(len(blk.col_tuples) for blk in dec.blocks), len(dec.zero_columns)) == (3304, 128)
+
+
+def wilson_rank(m, p):
+    """Wilson's diagonal form: the GF(p) rank (p = 0 for QQ) of the
+    inclusion matrix of (k-1)-subsets against k-subsets of a 2k-set."""
+    k = m // 2
+    return sum(
+        comb(2 * k, i) - (comb(2 * k, i - 1) if i else 0)
+        for i in range(k)
+        if p == 0 or (k - i) % p
+    )
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+def test_atlas_rank_matches_wilson(m, p):
+    mat = incidence_matrix(incidence_configuration(m))
+    assert rank(mat.to_exact(QQ if p == 0 else GF(p))) == wilson_rank(m, p)

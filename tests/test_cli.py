@@ -145,6 +145,20 @@ class TestRank:
     def test_cap(self):
         assert main(["rank", "--n", "7"]) == 3
 
+    @pytest.mark.parametrize("char, rank", [(0, 495), (2, 430), (3, 494), (5, 495), (7, 495)])
+    def test_json_n6_pinned(self, char, rank, capsys):
+        assert main(["rank", "--n", "6", "--char", str(char), "--json"]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "n": 6,\n'
+            f'  "characteristic": {char},\n'
+            f'  "rank": {rank},\n'
+            '  "expected": 495,\n'
+            f'  "surjective": {"true" if rank == 495 else "false"},\n'
+            f'  "embedding_rank": {924 - rank}\n'
+            "}\n"
+        )
+
 
 class TestCount:
     def test_formula_and_enumeration(self, capsys):

@@ -10,6 +10,7 @@ from lgplucker import (
     GF,
     QQ,
     contract,
+    decompose,
     embedding_rank,
     index_tuples,
     nullspace,
@@ -165,6 +166,25 @@ class TestRankReport:
     def test_specialization_inequality(self, n, p):
         b = bmatrix(n)
         assert rank(b.to_exact(GF(p))) <= rank(b.to_exact(QQ))
+
+
+FULL_ELIMINATION_N7 = {0: 2002, 2: 1652, 3: 1988, 5: 2002, 7: 2002}
+
+
+class TestStructuralRank:
+    """The rank summed over the blocks against elimination of the whole of B."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+    def test_matches_full_elimination(self, n, p):
+        b = bmatrix(n)
+        field = QQ if p == 0 else GF(p)
+        full = rank(b.to_exact(field))
+        assert decompose(b).rank(field) == full
+        assert rank_report(n, p).rank == full
+        assert embedding_rank(n, field) == b.shape[1] - full
+        if n == 7:
+            assert full == FULL_ELIMINATION_N7[p]
 
 
 def test_embedding_rank_values():
