@@ -1,18 +1,17 @@
-"""Incidence configurations on pair sets and the block structure of the
-relation matrix.
+"""The atlas members L(m) and the block structure of the relation matrix.
 
-For even m, take the m complementary pairs as ground symbols: the
-configuration has one row per (m-2)/2-subset of pairs and one column per
-(m/2)-subset, with incidence given by containment. Its 0/1 matrix L_r
-(r = (m+2)/2) is regular and sparse: r ones per row, r - 1 per column,
-and any two rows share at most one column.
+For even m, L(m) is the inclusion matrix of the (m-2)/2-subsets of [1, m]
+(rows) against its m/2-subsets (columns), both in lexicographic order:
+row alpha has a one at alpha + {x} for each x outside alpha (Wilson,
+Europ. J. Combin. 11, 1990). It is regular and sparse: r = (m+2)/2 ones
+per row, r - 1 per column, and any two rows share at most one column.
 
 The relation matrix decomposes into copies of these: group its rows by
 the free part of their index tuple; each class, restricted to the columns
-its rows touch, is a copy of L_r for m = n - (free size), after the
-order-preserving renumbering of the surviving pairs. Columns whose index
-tuple contains no complementary pair are identically zero and are listed
-separately.
+its rows touch, is a copy of L(m) for m = n - (free size), after the
+order-preserving renumbering of the surviving pairs onto 1..m. Columns
+whose index tuple contains no complementary pair are identically zero and
+are listed separately.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ PairTuple = Tuple[int, ...]
 
 
 def r_value(m: int) -> int:
-    """The regularity index floor((m + 2) / 2) of the size-m configuration."""
+    """The regularity index floor((m + 2) / 2): the row weight of L(m)."""
     return (m + 2) // 2
 
 
@@ -44,15 +43,6 @@ class DecompositionError(Exception):
 
 class BlockEquivalenceError(DecompositionError):
     """A block does not match its atlas member under pair renumbering."""
-
-
-@dataclass(frozen=True)
-class IncidenceConfiguration:
-    """Ground set of pair subsets plus one member set per row label."""
-
-    m: int
-    ground: Tuple[PairTuple, ...]
-    members: Tuple[Tuple[PairTuple, Tuple[PairTuple, ...]], ...]
 
 
 @dataclass
@@ -92,26 +82,17 @@ class IncidenceMatrix:
         )
 
 
-def incidence_configuration(m: int) -> IncidenceConfiguration:
-    """Containment configuration of pair subsets for even m >= 2."""
+def incidence_matrix(m: int) -> IncidenceMatrix:
+    """The atlas member L(m) for even m >= 2, labelled by its subsets."""
     if m < 2 or m % 2:
         raise ValueError(f"need an even m >= 2, got {m}")
-    ground = tuple(index_tuples(m // 2, m))
-    members = []
-    for alpha in index_tuples((m - 2) // 2, m):
-        sup = set(alpha)
-        members.append((alpha, tuple(beta for beta in ground if sup.issubset(beta))))
-    return IncidenceConfiguration(m, ground, tuple(members))
-
-
-def incidence_matrix(cfg: IncidenceConfiguration) -> IncidenceMatrix:
-    """The 0/1 membership matrix of a configuration."""
-    col_index = {beta: j for j, beta in enumerate(cfg.ground)}
-    bits = np.zeros((len(cfg.members), len(cfg.ground)), dtype=np.int8)
-    for i, (_, member) in enumerate(cfg.members):
-        for beta in member:
-            bits[i, col_index[beta]] = 1
-    return IncidenceMatrix(cfg.m, bits, tuple(a for a, _ in cfg.members), cfg.ground)
+    rows = tuple(index_tuples((m - 2) // 2, m))
+    cols = tuple(index_tuples(m // 2, m))
+    col_index = {beta: j for j, beta in enumerate(cols)}
+    bits = np.zeros((len(rows), len(cols)), dtype=np.int8)
+    for i, alpha in enumerate(rows):
+        bits[i, [col_index[tuple(sorted(alpha + (x,)))] for x in range(1, m + 1) if x not in alpha]] = 1
+    return IncidenceMatrix(m, bits, rows, cols)
 
 
 def atlas(n: int) -> List[IncidenceMatrix]:
@@ -123,7 +104,7 @@ def atlas(n: int) -> List[IncidenceMatrix]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     start = n if n % 2 == 0 else n - 1
-    return [incidence_matrix(incidence_configuration(m)) for m in range(start, 1, -2)]
+    return [incidence_matrix(m) for m in range(start, 1, -2)]
 
 
 @dataclass(frozen=True)
@@ -297,7 +278,7 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     for free, rows_idx in classes.items():
         m = n - len(free)
         if m not in references:
-            references[m] = incidence_matrix(incidence_configuration(m))
+            references[m] = incidence_matrix(m)
         col_idx = sorted({j for i in rows_idx for j in b.row_supports[i]})
         for j in col_idx:
             if owner[j] is not None:

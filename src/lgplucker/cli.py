@@ -288,7 +288,7 @@ def cmd_export_ldpc(args) -> int:
         return EXIT_USAGE
     if args.m > EXPORT_CAP:
         raise ResourceCapError(f"m = {args.m} exceeds the export cap {EXPORT_CAP}")
-    mat = blocks.incidence_matrix(blocks.incidence_configuration(args.m))
+    mat = blocks.incidence_matrix(args.m)
     text = formats.write_alist(mat)
     _write_output(text, args.out)
     r = blocks.r_value(args.m)

@@ -146,42 +146,46 @@ def write_alist(data) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _adjacency_lines(
+    lines: List[str], start: int, weights: List[int], width: int, bound: int, kind: str, other: str
+) -> List[List[int]]:
+    """The nonzero 1-based indices of each alist line from lines[start] on, one per weight."""
+    out = []
+    for k, weight in enumerate(weights):
+        live = [x for x in _line_ints(start + k + 1, lines[start + k], width) if x != 0]
+        if len(live) != weight:
+            raise ValueError(f"{kind} {k + 1} line disagrees with its weight")
+        if len(set(live)) != len(live):
+            raise ValueError(f"{kind} {k + 1} line repeats a {other} index")
+        for x in live:
+            if not 1 <= x <= bound:
+                raise ValueError(f"{other} index {x} outside [1, {bound}]")
+        out.append(live)
+    return out
+
+
 def parse_alist(text: str) -> BinaryMatrixData:
     lines = text.splitlines()
     if len(lines) < 4:
         raise ValueError("alist file too short")
-    cols, rows = (int(x) for x in lines[0].split())
-    max_col_w, max_row_w = (int(x) for x in lines[1].split())
-    col_w = [int(x) for x in lines[2].split()]
-    row_w = [int(x) for x in lines[3].split()]
-    if len(col_w) != cols or len(row_w) != rows:
-        raise ValueError("weight lines disagree with the declared dimensions")
-    if len(lines) < 4 + cols + rows:
+    cols, rows = _line_ints(1, lines[0], 2)
+    if cols < 0 or rows < 0:
+        raise ValueError(f"negative dimensions {rows}x{cols}")
+    max_col_w, max_row_w = _line_ints(2, lines[1], 2)
+    col_w = _line_ints(3, lines[2], cols)
+    row_w = _line_ints(4, lines[3], rows)
+    if (max_col_w, max_row_w) != (max(col_w, default=0), max(row_w, default=0)):
+        raise ValueError("line 2: maximum weights disagree with the weight lines")
+    last = 4 + cols + rows
+    if len(lines) < last:
         raise ValueError("alist file truncated")
-    entries = set()
-    for j in range(cols):
-        raw = [int(x) for x in lines[4 + j].split()]
-        live = [x for x in raw if x != 0]
-        if len(raw) != max_col_w or len(live) != col_w[j]:
-            raise ValueError(f"column {j + 1} line disagrees with its weight")
-        if len(set(live)) != len(live):
-            raise ValueError(f"column {j + 1} line repeats a row index")
-        for r in live:
-            if not 1 <= r <= rows:
-                raise ValueError(f"row index {r} outside [1, {rows}]")
-            entries.add((r - 1, j))
-    check = set()
-    for i in range(rows):
-        raw = [int(x) for x in lines[4 + cols + i].split()]
-        live = [x for x in raw if x != 0]
-        if len(raw) != max_row_w or len(live) != row_w[i]:
-            raise ValueError(f"row {i + 1} line disagrees with its weight")
-        if len(set(live)) != len(live):
-            raise ValueError(f"row {i + 1} line repeats a column index")
-        for c in live:
-            if not 1 <= c <= cols:
-                raise ValueError(f"column index {c} outside [1, {cols}]")
-            check.add((i, c - 1))
+    for number, ln in enumerate(lines[last:], last + 1):
+        if ln.strip():
+            raise ValueError(f"line {number}: content after the last row line")
+    col_lists = _adjacency_lines(lines, 4, col_w, max_col_w, rows, "column", "row")
+    row_lists = _adjacency_lines(lines, 4 + cols, row_w, max_row_w, cols, "row", "column")
+    entries = {(r - 1, j) for j, live in enumerate(col_lists) for r in live}
+    check = {(i, c - 1) for i, live in enumerate(row_lists) for c in live}
     if check != entries:
         raise ValueError("row and column adjacency lists disagree")
     return BinaryMatrixData(rows, cols, tuple(sorted(entries)))
@@ -212,6 +216,9 @@ def parse_json(text: str) -> BinaryMatrixData:
     for key in ("rows", "cols", "nnz", "entries"):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
+    extra = sorted(set(doc) - {"rows", "cols", "nnz", "entries"})
+    if extra:
+        raise ValueError(f"unexpected keys {extra}")
     if not isinstance(doc["entries"], list):
         raise ValueError("entries must be a list")
     entries = []

@@ -5,8 +5,8 @@ Two elimination back ends, both exact with no tolerances anywhere:
 * prime fields go through dense numpy row reduction on int64 residues
   (products of two reduced residues stay inside int64 for the allowed
   moduli);
-* the rationals go through sparse Gauss-Jordan on dict-backed rows with
-  Fraction arithmetic and shortest-row pivoting.
+* the rationals go through sparse forward elimination on dict-backed rows
+  with Fraction arithmetic and shortest-row pivoting.
 
 The rank of the relation matrix itself (``rank_report``,
 ``embedding_rank``) comes from its verified block decomposition, so
@@ -150,10 +150,11 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
 
 def _rref_sparse(rows: List[Dict[int, Scalar]], ncols: int, field: Field) -> List[Tuple[int, int]]:
-    """In-place sparse Gauss-Jordan; returns (pivot column, row index) pairs.
+    """In-place sparse forward elimination; returns (pivot column, row index) pairs.
 
-    Pivot rows are normalized to leading 1 and eliminated from every other
-    row, so afterwards each pivot row encodes one RREF row.
+    Pivot rows are normalized to leading 1 and eliminated from the rows not
+    yet pivoted only, so afterwards each pivot row is zero left of its pivot
+    column and the pivot rows form a row echelon form, in pivot order.
     """
     pivots: List[Tuple[int, int]] = []
     pivoted = [False] * len(rows)
@@ -171,8 +172,9 @@ def _rref_sparse(rows: List[Dict[int, Scalar]], ncols: int, field: Field) -> Lis
         if inv != field.one:
             prow = {c: field.mul(v, inv) for c, v in prow.items()}
             rows[best] = prow
+        pivoted[best] = True
         for idx, row in enumerate(rows):
-            if idx == best or col not in row:
+            if pivoted[idx] or col not in row:
                 continue
             f = row[col]
             new = dict(row)
@@ -183,7 +185,6 @@ def _rref_sparse(rows: List[Dict[int, Scalar]], ncols: int, field: Field) -> Lis
                 else:
                     new.pop(c, None)
             rows[idx] = new
-        pivoted[best] = True
         pivots.append((col, best))
     return pivots
 
@@ -256,8 +257,13 @@ def nullspace(m: ExactMatrix) -> List[List[Scalar]]:
     for fcol in free:
         x = [field.zero] * m.ncols
         x[fcol] = field.one
-        for col, idx in pivots:
-            x[col] = field.neg(work[idx].get(fcol, field.zero))
+        # back substitution: a pivot row only reaches right of its pivot
+        for col, idx in reversed(pivots):
+            s = field.zero
+            for c, v in work[idx].items():
+                if c != col:
+                    s = field.add(s, field.mul(v, x[c]))
+            x[col] = field.neg(s)
         basis.append(x)
     for x in basis:
         if any(v for v in m.mat_vec(x)):

@@ -24,7 +24,6 @@ from lgplucker import (
     coordinate_vector,
     decompose,
     functional_matrix,
-    incidence_configuration,
     incidence_matrix,
     lagrangian_count,
     r_value,
@@ -214,7 +213,7 @@ def test_c09_atlas_sharing():
 
 
 def test_c10_format_round_trips():
-    targets = [incidence_matrix(incidence_configuration(m)) for m in (2, 4, 6, 8)]
+    targets = [incidence_matrix(m) for m in (2, 4, 6, 8)]
     targets += [bmatrix(n) for n in (2, 3, 4, 5)]
     for obj in targets:
         data = matrix_data(obj)

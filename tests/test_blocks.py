@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -14,7 +15,6 @@ from lgplucker import (
     atlas,
     check_regularity,
     decompose,
-    incidence_configuration,
     incidence_matrix,
     r_value,
     rank,
@@ -24,44 +24,63 @@ from lgplucker import (
 from conftest import bmatrix
 
 
+def literal_incidence_matrix(m):
+    """L(m) by definition: every (m-2)/2-subset tested for containment in
+    every m/2-subset of [1, m], both in lexicographic order."""
+    rows = list(combinations(range(1, m + 1), (m - 2) // 2))
+    cols = list(combinations(range(1, m + 1), m // 2))
+    bits = np.array([[int(set(alpha).issubset(beta)) for beta in cols] for alpha in rows], dtype=np.int8)
+    return IncidenceMatrix(m, bits, tuple(rows), tuple(cols))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+def test_incidence_matrix_matches_literal_containment(m):
+    # equality compares m, both label tuples and every bit
+    assert incidence_matrix(m) == literal_incidence_matrix(m)
+
+
 class TestConfiguration:
     def test_m2(self):
-        cfg = incidence_configuration(2)
-        assert len(cfg.ground) == 2
-        assert len(cfg.members) == 1
-        assert cfg.members[0][0] == ()
-        assert cfg.members[0][1] == cfg.ground
+        mat = incidence_matrix(2)
+        assert mat.col_labels == ((1,), (2,))
+        assert mat.row_labels == ((),)
+        assert mat.bits.tolist() == [[1, 1]]
 
     def test_m4(self):
-        cfg = incidence_configuration(4)
-        assert len(cfg.ground) == 6
-        assert len(cfg.members) == 4
-        assert all(len(member) == r_value(4) for _, member in cfg.members)
+        mat = incidence_matrix(4)
+        assert len(mat.col_labels) == 6
+        assert len(mat.row_labels) == 4
+        assert mat.row_weights() == [r_value(4)] * 4
 
     def test_m6(self):
-        cfg = incidence_configuration(6)
-        assert len(cfg.ground) == 20
-        assert len(cfg.members) == 15
-        assert all(len(member) == 4 for _, member in cfg.members)
+        mat = incidence_matrix(6)
+        assert len(mat.col_labels) == 20
+        assert len(mat.row_labels) == 15
+        assert mat.row_weights() == [4] * 15
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
-            incidence_configuration(3)
+            incidence_matrix(3)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_m_below_two_rejected(self, m):
+        with pytest.raises(ValueError, match="even m >= 2"):
+            incidence_matrix(m)
 
 
 class TestIncidenceMatrix:
     def test_m2_row(self):
-        mat = incidence_matrix(incidence_configuration(2))
+        mat = incidence_matrix(2)
         assert mat.bits.tolist() == [[1, 1]]
 
     def test_m4_weights(self):
-        mat = incidence_matrix(incidence_configuration(4))
+        mat = incidence_matrix(4)
         assert mat.shape == (4, 6)
         assert mat.row_weights() == [3] * 4
         assert mat.column_weights() == [2] * 6
 
     def test_m6_weights(self):
-        mat = incidence_matrix(incidence_configuration(6))
+        mat = incidence_matrix(6)
         assert mat.shape == (15, 20)
         assert mat.row_weights() == [4] * 15
         assert mat.column_weights() == [3] * 20
@@ -90,26 +109,26 @@ class TestAtlas:
 
 class TestRegularity:
     def test_l3(self):
-        report = check_regularity(incidence_matrix(incidence_configuration(4)))
+        report = check_regularity(incidence_matrix(4))
         assert report.ok
         assert (report.row_weight, report.column_weight) == (3, 2)
         assert report.max_overlap == 1
         assert report.density == Fraction(3, 6)
 
     def test_l2(self):
-        report = check_regularity(incidence_matrix(incidence_configuration(2)))
+        report = check_regularity(incidence_matrix(2))
         assert report.ok
         assert (report.row_weight, report.column_weight) == (2, 1)
         assert report.density == 1
 
     def test_l4(self):
-        report = check_regularity(incidence_matrix(incidence_configuration(6)))
+        report = check_regularity(incidence_matrix(6))
         assert report.ok
         assert report.max_overlap == 1
         assert report.density == Fraction(4, 20)
 
     def test_corrupted_matrix_fails(self):
-        mat = incidence_matrix(incidence_configuration(4))
+        mat = incidence_matrix(4)
         bad = IncidenceMatrix(mat.m, mat.bits.copy(), mat.row_labels, mat.col_labels)
         bad.bits[0, 0] ^= 1
         report = check_regularity(bad)
@@ -119,20 +138,20 @@ class TestRegularity:
 
 class TestBlockEquivalence:
     def test_reference_is_self_equivalent(self):
-        ref = incidence_matrix(incidence_configuration(4))
+        ref = incidence_matrix(4)
         row_perm, col_perm = verify_block_equiv(ref, ref)
         assert row_perm == tuple(range(4))
         assert col_perm == tuple(range(6))
 
     def test_corrupted_block_detected(self):
-        ref = incidence_matrix(incidence_configuration(4))
+        ref = incidence_matrix(4)
         bad = IncidenceMatrix(ref.m, ref.bits.copy(), ref.row_labels, ref.col_labels)
         bad.bits[1, 2] ^= 1
         with pytest.raises(BlockEquivalenceError):
             verify_block_equiv(bad, ref)
 
     def test_mismatch_names_the_first_differing_entry(self):
-        ref = incidence_matrix(incidence_configuration(6))
+        ref = incidence_matrix(6)
         bad = IncidenceMatrix(ref.m, ref.bits.copy(), ref.row_labels, ref.col_labels)
         bad.bits[4, 1] ^= 1
         bad.bits[2, 7] ^= 1
@@ -143,8 +162,8 @@ class TestBlockEquivalence:
     def test_shape_mismatch(self):
         with pytest.raises(BlockEquivalenceError):
             verify_block_equiv(
-                incidence_matrix(incidence_configuration(2)),
-                incidence_matrix(incidence_configuration(4)),
+                incidence_matrix(2),
+                incidence_matrix(4),
             )
 
 
@@ -275,5 +294,5 @@ def wilson_rank(m, p):
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
 def test_atlas_rank_matches_wilson(m, p):
-    mat = incidence_matrix(incidence_configuration(m))
+    mat = incidence_matrix(m)
     assert rank(mat.to_exact(QQ if p == 0 else GF(p))) == wilson_rank(m, p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -184,6 +185,17 @@ class TestCount:
         assert "invalid arguments" in captured.err and captured.out == ""
 
 
+# sha256 of the alist text export-ldpc writes for each atlas member
+ALIST_SHA256 = {
+    2: "2dd9de0983412a14de26ae0877c259835cd9644e9c6b3df3bef08eceac760173",
+    4: "8e07ca41b142dfa869cb97fb1466211a3df495305164f19a4a9ad38d6305398b",
+    6: "99306a1c632b4784c734062dee88e1a37b28ca8f75a2c75874bd5c7e62d12323",
+    8: "d5140812b537e3f40291f8552c2063e3252528ed24c935f80b4e05ae0ecbc04f",
+    10: "c8ccf729614a89dcf4a323f141a1d7e1b22b074557730416af62ebb3c4bf1e10",
+    12: "23f9f3b6fe192a0d081f8f9f74fdf2704d0055a31dbb8d559b87e458c5f5c586",
+}
+
+
 class TestExportLdpc:
     def test_l4_alist(self, tmp_path, capsys):
         out = tmp_path / "l4.alist"
@@ -193,6 +205,15 @@ class TestExportLdpc:
         summary = capsys.readouterr().out
         assert "code length 20" in summary and "parity rows 15" in summary
         assert "row weight 4" in summary and "column weight 3" in summary
+
+    @pytest.mark.parametrize("m", sorted(ALIST_SHA256))
+    def test_alist_bytes_pinned(self, m, tmp_path, capsys):
+        out = tmp_path / "l.alist"
+        assert main(["export-ldpc", "--m", str(m), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ALIST_SHA256[m]
+        capsys.readouterr()
+        assert main(["export-ldpc", "--m", str(m)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == ALIST_SHA256[m]
 
     def test_odd_m_usage(self, capsys):
         assert main(["export-ldpc", "--m", "5"]) == 1

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lgplucker import atlas, incidence_configuration, incidence_matrix
+from lgplucker import atlas, incidence_matrix
 from lgplucker.formats import (
     BinaryMatrixData,
     matrix_data,
@@ -23,7 +25,7 @@ ROUND_TRIPS = [
 
 
 def atlas_members_up_to(m_max):
-    return [incidence_matrix(incidence_configuration(m)) for m in range(2, m_max + 1, 2)]
+    return [incidence_matrix(m) for m in range(2, m_max + 1, 2)]
 
 
 class TestRoundTrips:
@@ -42,6 +44,24 @@ class TestRoundTrips:
         text = writer(data)
         assert parser(text) == data
         assert writer(parser(text)) == text
+
+
+@st.composite
+def binary_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    row = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    bits = draw(st.lists(row, min_size=rows, max_size=rows))
+    return np.array(bits, dtype=np.int8).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("writer,parser", ROUND_TRIPS)
+@settings(max_examples=150, deadline=None)
+@given(x=binary_matrices())
+def test_round_trip_property(writer, parser, x):
+    text = writer(x)
+    assert parser(text) == matrix_data(x)
+    assert writer(parser(text)) == text
 
 
 class TestCoord:
@@ -75,7 +95,7 @@ class TestCoord:
 
 class TestAlist:
     def test_l4_header_and_weights(self):
-        mat = incidence_matrix(incidence_configuration(6))
+        mat = incidence_matrix(6)
         lines = write_alist(mat).splitlines()
         assert lines[0] == "20 15"
         assert lines[1] == "3 4"
@@ -108,6 +128,38 @@ class TestAlist:
         # matrix with one entry that does not re-serialize to this text
         with pytest.raises(ValueError, match="repeats"):
             parse_alist("1 1\n2 2\n2\n2\n1 1\n1 1\n")
+
+    @pytest.mark.parametrize("tail", ["junk line", "1 2 3"])
+    def test_trailing_content_names_its_line(self, tail):
+        text = write_alist(matrix_data(bmatrix(2)))
+        assert len(text.splitlines()) == 11
+        with pytest.raises(ValueError, match="line 12"):
+            parse_alist(text + tail + "\n")
+
+    def test_trailing_blank_lines_accepted(self):
+        data = matrix_data(bmatrix(2))
+        assert parse_alist(write_alist(data) + "\n  \n") == data
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("2 x\n1 1\n1 1\n1\n1\n1\n1 2\n", 1),
+            ("2 1\n1 2\n1 1\n2\n1\n1\n1 2.0\n", 7),
+            ("2 1\n1 2\n1 1\n2\n1\none\n1 2\n", 6),
+            ("2 1\n1 2\n1 1 1\n2\n1\n1\n1 2\n", 3),
+            ("2 1\n1 2\n1 1\n2\n1 0\n1\n1 2\n", 5),
+        ],
+        ids=["header-word", "row-float", "column-word", "weight-count", "column-count"],
+    )
+    def test_malformed_line_names_its_line(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            parse_alist(text)
+
+    def test_maximum_weight_disagreeing_with_weights(self):
+        # declared maximum column weight 2 for columns of weight 1: the
+        # padding would not re-serialize to this text
+        with pytest.raises(ValueError, match="line 2"):
+            parse_alist("2 1\n2 2\n1 1\n2\n1 0\n1 0\n1 2\n")
 
     def test_inconsistent_adjacency(self):
         # column lists give entries (1,1) and (2,2); row lists transpose them
@@ -147,6 +199,10 @@ class TestJson:
     def test_entry_that_is_not_a_pair_rejected(self, entry):
         with pytest.raises(ValueError):
             parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [%s]}' % entry)
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ValueError, match="unexpected keys \\['comment'\\]"):
+            parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [[1, 2]], "comment": "x"}')
 
     @pytest.mark.parametrize("text", ["5", "null"])
     def test_top_level_not_an_object_rejected(self, text):
