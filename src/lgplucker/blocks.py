@@ -45,41 +45,25 @@ class BlockEquivalenceError(DecompositionError):
     """A block does not match its atlas member under pair renumbering."""
 
 
-@dataclass
-class IncidenceMatrix:
-    """Dense 0/1 matrix with row and column labels (pair-index tuples)."""
+class IncidenceMatrix(linalg.BinaryMatrix):
+    """A 0/1 matrix labelled by pair-index tuples: the atlas member L(m),
+    or a block of the relation matrix to be checked against it."""
 
-    m: int
-    bits: np.ndarray
-    row_labels: Tuple[PairTuple, ...]
-    col_labels: Tuple[PairTuple, ...]
+    __slots__ = ("m",)
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return tuple(self.bits.shape)
+    def __init__(self, m: int, matrix, row_labels: Tuple[PairTuple, ...], col_labels: Tuple[PairTuple, ...]):
+        """matrix is a BinaryMatrix or a two-dimensional 0/1 array."""
+        if not isinstance(matrix, linalg.BinaryMatrix):
+            matrix = linalg.binary_matrix(matrix)
+        super().__init__(matrix.rows, matrix.cols, matrix.row_supports, row_labels, col_labels)
+        self.m = m
 
     @property
     def label(self) -> str:
         return f"L{r_value(self.m)}"
 
-    def row_weights(self) -> List[int]:
-        return [int(x) for x in self.bits.sum(axis=1)]
-
-    def column_weights(self) -> List[int]:
-        return [int(x) for x in self.bits.sum(axis=0)]
-
-    def to_exact(self, field: Field) -> linalg.ExactMatrix:
-        rows = [{int(j): field.one for j in np.flatnonzero(row)} for row in self.bits]
-        return linalg.ExactMatrix(*self.shape, field, rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IncidenceMatrix)
-            and self.m == other.m
-            and self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-            and np.array_equal(self.bits, other.bits)
-        )
+    def _key(self) -> tuple:
+        return super()._key() + (self.m,)
 
 
 def incidence_matrix(m: int) -> IncidenceMatrix:
@@ -89,10 +73,11 @@ def incidence_matrix(m: int) -> IncidenceMatrix:
     rows = tuple(index_tuples((m - 2) // 2, m))
     cols = tuple(index_tuples(m // 2, m))
     col_index = {beta: j for j, beta in enumerate(cols)}
-    bits = np.zeros((len(rows), len(cols)), dtype=np.int8)
-    for i, alpha in enumerate(rows):
-        bits[i, [col_index[tuple(sorted(alpha + (x,)))] for x in range(1, m + 1) if x not in alpha]] = 1
-    return IncidenceMatrix(m, bits, rows, cols)
+    # alpha + {x} grows in lexicographic order with x, so each support is increasing
+    supports = [
+        [col_index[tuple(sorted(alpha + (x,)))] for x in range(1, m + 1) if x not in alpha] for alpha in rows
+    ]
+    return IncidenceMatrix(m, linalg.BinaryMatrix(len(rows), len(cols), supports), rows, cols)
 
 
 def atlas(n: int) -> List[IncidenceMatrix]:
@@ -136,9 +121,9 @@ def check_regularity(mat: IncidenceMatrix) -> RegularityReport:
         if w != r - 1:
             failures.append(f"column {mat.col_labels[j]} has weight {w}, expected {r - 1}")
     overlap = 0
-    nrows = mat.bits.shape[0]
-    if nrows > 1:
-        gram = mat.bits.astype(np.int64) @ mat.bits.astype(np.int64).T
+    if mat.rows > 1:
+        bits = mat.bits.astype(np.int64)
+        gram = bits @ bits.T
         np.fill_diagonal(gram, 0)
         overlap = int(gram.max())
         if overlap > 1:
@@ -184,12 +169,17 @@ def verify_block_equiv(block: IncidenceMatrix, reference: IncidenceMatrix) -> Tu
         col_perm = tuple(ref_col_pos[tuple(renumber[x] for x in lbl)] for lbl in block.col_labels)
     except KeyError as exc:
         raise BlockEquivalenceError(f"relabeled subset {exc} missing from the reference") from exc
-    differ = block.bits != reference.bits.take(row_perm, axis=0).take(col_perm, axis=1)
-    if differ.any():
-        i, j = np.argwhere(differ)[0]
-        raise BlockEquivalenceError(
-            f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}"
-        )
+    if len(set(col_perm)) < len(col_perm):
+        raise BlockEquivalenceError("two block columns carry the same label")
+    # col_perm is a bijection, so row i matches exactly when col_perm
+    # carries its columns onto those of reference row row_perm[i]
+    for i, (have, r) in enumerate(zip(block.row_supports, row_perm)):
+        want = reference.row_supports[r]
+        if tuple(sorted(col_perm[j] for j in have)) != want:
+            j = next(j for j in range(block.cols) if (j in have) != (col_perm[j] in want))
+            raise BlockEquivalenceError(
+                f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}"
+            )
     return row_perm, col_perm
 
 
@@ -287,12 +277,10 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
                 )
             owner[j] = free
         col_pos = {j: k for k, j in enumerate(col_idx)}
-        width = len(col_idx)
-        bits = np.zeros(len(rows_idx) * width, dtype=np.int8)
-        bits[[k * width + col_pos[j] for k, i in enumerate(rows_idx) for j in b.row_supports[i]]] = 1
+        supports = [[col_pos[j] for j in b.row_supports[i]] for i in rows_idx]
         mat = IncidenceMatrix(
             m,
-            bits.reshape(len(rows_idx), width),
+            linalg.BinaryMatrix(len(rows_idx), len(col_idx), supports),
             tuple(row_labels[i] for i in rows_idx),
             tuple(col_labels[j] for j in col_idx),
         )

@@ -16,7 +16,7 @@ from math import comb
 from typing import Any, List, Optional
 
 from . import blocks, formats, frlc, linalg, symplectic
-from .errors import ResourceCapError
+from .errors import DECOMPOSE_CAP, EXPORT_CAP, RANK_CAP, ResourceCapError
 from .fields import GF, QQ
 from .symplectic import ExteriorVector, contract, coordinate_vector
 
@@ -24,10 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
-
-DECOMPOSE_CAP = 6
-RANK_CAP = 6
-EXPORT_CAP = 12
 
 
 @dataclass

@@ -3,7 +3,10 @@
 All three formats describe a plain binary matrix and round-trip exactly:
 parsing a serialized text recovers an identical in-memory object, and
 re-serializing a parsed text reproduces it byte for byte (the writers are
-canonical: fixed ordering, fixed padding, no trailing whitespace).
+canonical: fixed ordering, fixed padding, no trailing whitespace). The
+parsers accept only that order: a text that lists its ones out of order
+raises a ValueError naming the line or the entry, as does a blank line
+before the last coordinate entry.
 
 Alist layout (the LDPC interchange convention):
 
@@ -12,83 +15,23 @@ Alist layout (the LDPC interchange convention):
     line 3: N column weights
     line 4: M row weights
     next N lines: 1-based row indices of the ones in each column,
-                  zero-padded to max_col_w entries
+                  increasing, zero-padded to max_col_w entries
     next M lines: 1-based column indices of the ones in each row,
-                  zero-padded to max_row_w entries
+                  increasing, zero-padded to max_row_w entries
 
 Coordinate layout: a "rows cols nnz" header followed by one 1-based
-"row col" pair per line in sorted order.
+"row col" pair per line in row-major order.
 
-JSON layout: an object with "rows", "cols", "nnz" and the sorted 1-based
+JSON layout: an object with "rows", "cols", "nnz" and the row-major 1-based
 "entries" pair list, serialized with sorted keys.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-import numpy as np
-
-
-@dataclass(frozen=True)
-class BinaryMatrixData:
-    """Shape plus the sorted 0-based positions of the ones."""
-
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
-        for r, c in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-        if list(self.entries) != sorted(set(self.entries)):
-            raise ValueError("entries must be sorted and free of duplicates")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def row_lists(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.rows)]
-        for r, c in self.entries:
-            out[r].append(c)
-        return out
-
-    def col_lists(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.cols)]
-        for r, c in self.entries:
-            out[c].append(r)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=np.int8)
-        for r, c in self.entries:
-            a[r, c] = 1
-        return a
-
-
-def matrix_data(obj) -> BinaryMatrixData:
-    """Adapt a relation matrix, incidence matrix or array to the carrier."""
-    if isinstance(obj, BinaryMatrixData):
-        return obj
-    if hasattr(obj, "row_supports"):  # PlueckerMatrix
-        entries = tuple(
-            (i, j) for i, support in enumerate(obj.row_supports) for j in support
-        )
-        return BinaryMatrixData(*obj.shape, tuple(sorted(entries)))
-    if hasattr(obj, "bits"):  # IncidenceMatrix
-        arr = np.asarray(obj.bits)
-    else:
-        arr = np.asarray(obj)
-    if arr.ndim != 2 or not np.isin(arr, (0, 1)).all():
-        raise ValueError("expected a two-dimensional 0/1 array")
-    entries = tuple((int(r), int(c)) for r, c in np.argwhere(arr))
-    return BinaryMatrixData(arr.shape[0], arr.shape[1], tuple(sorted(entries)))
+from .linalg import BinaryMatrix, binary_matrix as matrix_data
 
 
 def write_coord(data) -> str:
@@ -109,26 +52,26 @@ def _line_ints(number: int, line: str, count: int) -> List[int]:
         raise ValueError(f"line {number}: non-integer token in {line!r}") from None
 
 
-def parse_coord(text: str) -> BinaryMatrixData:
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+def parse_coord(text: str) -> BinaryMatrix:
+    # a blank line before the last entry fails as a line without its integers
+    lines = text.rstrip().splitlines()
     if not lines:
         raise ValueError("empty coordinate file")
-    rows, cols, nnz = _line_ints(*lines[0], 3)
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"header promises {nnz} entries, found {len(lines) - 1}")
+    rows, cols, nnz = _line_ints(1, lines[0], 3)
     entries = []
-    for number, ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], 2):
         r, c = _line_ints(number, ln, 2)
         entries.append((r - 1, c - 1))
-    return BinaryMatrixData(rows, cols, tuple(sorted(entries)))
+    if len(entries) != nnz:
+        raise ValueError(f"header promises {nnz} entries, found {len(entries)}")
+    return BinaryMatrix.from_entries(rows, cols, entries)
 
 
 def write_alist(data) -> str:
     data = matrix_data(data)
     col_lists = data.col_lists()
-    row_lists = data.row_lists()
     col_w = [len(x) for x in col_lists]
-    row_w = [len(x) for x in row_lists]
+    row_w = data.row_weights()
     max_col_w = max(col_w, default=0)
     max_row_w = max(row_w, default=0)
     lines = [
@@ -140,7 +83,7 @@ def write_alist(data) -> str:
     for idxs in col_lists:
         padded = [i + 1 for i in idxs] + [0] * (max_col_w - len(idxs))
         lines.append(" ".join(str(x) for x in padded))
-    for idxs in row_lists:
+    for idxs in data.row_supports:
         padded = [i + 1 for i in idxs] + [0] * (max_row_w - len(idxs))
         lines.append(" ".join(str(x) for x in padded))
     return "\n".join(lines) + "\n"
@@ -149,22 +92,27 @@ def write_alist(data) -> str:
 def _adjacency_lines(
     lines: List[str], start: int, weights: List[int], width: int, bound: int, kind: str, other: str
 ) -> List[List[int]]:
-    """The nonzero 1-based indices of each alist line from lines[start] on, one per weight."""
+    """The nonzero indices of each alist line from lines[start] on, one per
+    weight, made 0-based; each line lists them increasing, then its padding."""
     out = []
     for k, weight in enumerate(weights):
-        live = [x for x in _line_ints(start + k + 1, lines[start + k], width) if x != 0]
+        number = start + k + 1
+        values = _line_ints(number, lines[start + k], width)
+        live = [x for x in values if x != 0]
         if len(live) != weight:
             raise ValueError(f"{kind} {k + 1} line disagrees with its weight")
-        if len(set(live)) != len(live):
-            raise ValueError(f"{kind} {k + 1} line repeats a {other} index")
+        if values[:weight] != live:
+            raise ValueError(f"line {number}: padding 0 before a nonzero {other} index")
+        if any(a >= b for a, b in zip(live, live[1:])):
+            raise ValueError(f"line {number}: {kind} {k + 1} repeats a {other} index or lists them out of order")
         for x in live:
             if not 1 <= x <= bound:
                 raise ValueError(f"{other} index {x} outside [1, {bound}]")
-        out.append(live)
+        out.append([x - 1 for x in live])
     return out
 
 
-def parse_alist(text: str) -> BinaryMatrixData:
+def parse_alist(text: str) -> BinaryMatrix:
     lines = text.splitlines()
     if len(lines) < 4:
         raise ValueError("alist file too short")
@@ -184,11 +132,10 @@ def parse_alist(text: str) -> BinaryMatrixData:
             raise ValueError(f"line {number}: content after the last row line")
     col_lists = _adjacency_lines(lines, 4, col_w, max_col_w, rows, "column", "row")
     row_lists = _adjacency_lines(lines, 4 + cols, row_w, max_row_w, cols, "row", "column")
-    entries = {(r - 1, j) for j, live in enumerate(col_lists) for r in live}
-    check = {(i, c - 1) for i, live in enumerate(row_lists) for c in live}
-    if check != entries:
+    data = BinaryMatrix(rows, cols, row_lists)
+    if data.col_lists() != col_lists:
         raise ValueError("row and column adjacency lists disagree")
-    return BinaryMatrixData(rows, cols, tuple(sorted(entries)))
+    return data
 
 
 def write_json(data) -> str:
@@ -209,7 +156,7 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def parse_json(text: str) -> BinaryMatrixData:
+def parse_json(text: str) -> BinaryMatrix:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
@@ -228,7 +175,7 @@ def parse_json(text: str) -> BinaryMatrixData:
         r, c = (_json_int(x, "entry index") for x in pair)
         entries.append((r - 1, c - 1))
     rows, cols, nnz = (_json_int(doc[key], key) for key in ("rows", "cols", "nnz"))
-    data = BinaryMatrixData(rows, cols, tuple(sorted(entries)))
+    data = BinaryMatrix.from_entries(rows, cols, entries)
     if data.nnz != nnz:
         raise ValueError("nnz field disagrees with the entry list")
     return data

@@ -21,11 +21,9 @@ import numpy as np
 
 from . import linalg
 from .combinatorics import IndexTuple, index_tuples, split_free_pairs, tuple_rank, validate_index_tuple
-from .errors import ResourceCapError
+from .errors import BUILD_CAP, ResourceCapError
 from .fields import Field, QQ, Scalar
 from .symplectic import ExteriorVector, arranged_coordinates, pair_adjacent_sign
-
-BUILD_CAP = 7
 
 
 @dataclass
@@ -68,55 +66,25 @@ class LinearFunctional:
     __call__ = evaluate
 
 
-class PlueckerMatrix:
+class PlueckerMatrix(linalg.BinaryMatrix):
     """Sparse 0/1 matrix of the contraction relation system.
 
     Rows are indexed by the (n-2)-tuples and columns by the n-tuples over
-    [1, 2n], both in canonical lexicographic order. The entry at
-    (gamma, beta) is 1 exactly when beta contains gamma and the two extra
-    indices form a complementary pair.
+    [1, 2n], both in canonical lexicographic order; they are the row and
+    column labels. The entry at (gamma, beta) is 1 exactly when beta
+    contains gamma and the two extra indices form a complementary pair.
     """
 
-    __slots__ = ("n", "row_tuples", "col_tuples", "row_supports", "_col_signs")
+    __slots__ = ("n", "_col_signs")
 
     def __init__(self, n: int, row_tuples: List[IndexTuple], col_tuples: List[IndexTuple], row_supports: List[Tuple[int, ...]]):
+        super().__init__(len(row_tuples), len(col_tuples), row_supports, row_tuples, col_tuples)
         self.n = n
-        self.row_tuples = row_tuples
-        self.col_tuples = col_tuples
-        self.row_supports = row_supports
         self._col_signs: List[int] | None = None
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.row_tuples), len(self.col_tuples))
-
-    @property
-    def nnz(self) -> int:
-        return sum(len(s) for s in self.row_supports)
-
-    def entry(self, i: int, j: int) -> int:
-        return 1 if j in self.row_supports[i] else 0
-
-    def row_weight(self, i: int) -> int:
-        return len(self.row_supports[i])
-
-    def column_weights(self) -> List[int]:
-        w = [0] * len(self.col_tuples)
-        for support in self.row_supports:
-            for j in support:
-                w[j] += 1
-        return w
-
-    def dense(self) -> np.ndarray:
-        a = np.zeros(self.shape, dtype=np.int8)
-        for i, support in enumerate(self.row_supports):
-            for j in support:
-                a[i, j] = 1
-        return a
-
-    def to_exact(self, field: Field) -> linalg.ExactMatrix:
-        rows = [{j: field.one for j in support} for support in self.row_supports]
-        return linalg.ExactMatrix(len(self.row_tuples), len(self.col_tuples), field, rows)
+    # the labels are the index tuples; these names read the same slots
+    row_tuples = linalg.BinaryMatrix.row_labels
+    col_tuples = linalg.BinaryMatrix.col_labels
 
     def _column_signs(self) -> List[int]:
         if self._col_signs is None:
@@ -134,11 +102,12 @@ class PlueckerMatrix:
             raise ValueError(f"expected a grade-{self.n} vector over 2n = {2 * self.n}")
         f = w.field
         signs = self._column_signs()
+        cols = self.col_labels
         out = []
-        for row_t, support in zip(self.row_tuples, self.row_supports):
+        for row_t, support in zip(self.row_labels, self.row_supports):
             s = f.zero
             for j in support:
-                v = w.coefficient(self.col_tuples[j])
+                v = w.coefficient(cols[j])
                 if not v:
                     continue
                 if signs[j] < 0:
@@ -148,10 +117,6 @@ class PlueckerMatrix:
                 s = f.neg(s)
             out.append(s)
         return out
-
-    def __repr__(self) -> str:
-        r, c = self.shape
-        return f"PlueckerMatrix(n={self.n}, {r}x{c}, nnz={self.nnz})"
 
 
 def contraction_functional(gamma: IndexTuple, n: int, field: Field = QQ) -> LinearFunctional:

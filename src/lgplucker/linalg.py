@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import lt
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -64,17 +65,6 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int, field: Field) -> "ExactMatrix":
         return cls(nrows, ncols, field, [{} for _ in range(nrows)])
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i].get(j, self.field.zero)
-
-    @property
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def to_dense(self) -> List[List[Scalar]]:
-        zero = self.field.zero
-        return [[r.get(c, zero) for c in range(self.ncols)] for r in self.rows]
 
     def to_int64(self) -> np.ndarray:
         """Dense int64 image; entries must already be Python ints."""
@@ -122,7 +112,112 @@ class ExactMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r}, nnz={self.nnz})"
+        return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+class BinaryMatrix:
+    """0/1 matrix: its shape, the strictly increasing columns of the ones
+    in each row (``row_supports``), and optional row and column labels.
+
+    The relation matrix B(n), its blocks, the atlas members L(m) and the
+    parsed file formats are all of this kind. The supports are checked
+    once, here; the dense view ``bits`` is built on each access.
+    """
+
+    __slots__ = ("rows", "cols", "row_supports", "row_labels", "col_labels")
+
+    def __init__(self, rows: int, cols: int, row_supports: Iterable[Sequence[int]], row_labels=None, col_labels=None):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative dimensions {rows}x{cols}")
+        row_supports = tuple(map(tuple, row_supports))
+        if len(row_supports) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(row_supports)}")
+        for i, s in enumerate(row_supports):
+            if s and not (0 <= s[0] and s[-1] < cols and all(map(lt, s, s[1:]))):
+                raise ValueError(f"row {i}: columns {s} do not strictly increase inside [0, {cols})")
+        self.rows = rows
+        self.cols = cols
+        self.row_supports = row_supports
+        self.row_labels = None if row_labels is None else tuple(row_labels)
+        self.col_labels = None if col_labels is None else tuple(col_labels)
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable[Tuple[int, int]]) -> "BinaryMatrix":
+        """The unlabelled matrix with ones at the 0-based (row, column)
+        entries, which must come in strictly increasing row-major order."""
+        supports: Dict[int, List[int]] = {}
+        last = (-1, -1)
+        for k, (r, c) in enumerate(entries, 1):
+            if (r, c) <= last:
+                raise ValueError(f"entry {k} does not follow entry {k - 1} in row-major order")
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r}, {c}) outside {rows}x{cols}")
+            supports.setdefault(r, []).append(c)
+            last = (r, c)
+        return cls(rows, cols, [supports.get(i, ()) for i in range(rows)])
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.rows, self.cols)
+
+    @property
+    def nnz(self) -> int:
+        return sum(map(len, self.row_supports))
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, int], ...]:
+        """The 0-based (row, column) positions of the ones, in row-major order."""
+        return tuple((i, j) for i, s in enumerate(self.row_supports) for j in s)
+
+    @property
+    def bits(self) -> np.ndarray:
+        a = np.zeros(self.shape, dtype=np.int8)
+        for i, s in enumerate(self.row_supports):
+            a[i, list(s)] = 1
+        return a
+
+    def entry(self, i: int, j: int) -> int:
+        return int(j in self.row_supports[i])
+
+    def row_weight(self, i: int) -> int:
+        return len(self.row_supports[i])
+
+    def row_weights(self) -> List[int]:
+        return [len(s) for s in self.row_supports]
+
+    def col_lists(self) -> List[List[int]]:
+        """The increasing rows of the ones in each column."""
+        out: List[List[int]] = [[] for _ in range(self.cols)]
+        for i, s in enumerate(self.row_supports):
+            for j in s:
+                out[j].append(i)
+        return out
+
+    def column_weights(self) -> List[int]:
+        return [len(x) for x in self.col_lists()]
+
+    def to_exact(self, field: Field) -> ExactMatrix:
+        return ExactMatrix(self.rows, self.cols, field, [{j: field.one for j in s} for s in self.row_supports])
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.row_supports, self.row_labels, self.col_labels)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def binary_matrix(obj) -> BinaryMatrix:
+    """obj as an unlabelled BinaryMatrix: a BinaryMatrix gives a copy
+    without its labels, and a two-dimensional 0/1 array is converted."""
+    if isinstance(obj, BinaryMatrix):
+        return BinaryMatrix(obj.rows, obj.cols, obj.row_supports)
+    arr = np.asarray(obj)
+    if arr.ndim != 2 or not np.isin(arr, (0, 1)).all():
+        raise ValueError("expected a two-dimensional 0/1 array")
+    return BinaryMatrix(*arr.shape, [np.flatnonzero(row).tolist() for row in arr])
 
 
 def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:

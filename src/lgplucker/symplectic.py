@@ -34,10 +34,8 @@ from .combinatorics import (
     split_free_pairs,
     validate_index_tuple,
 )
-from .errors import ResourceCapError
+from .errors import ENUMERATION_CAP, ResourceCapError
 from .fields import Field, GF, Scalar
-
-ENUMERATION_CAP = 10**6
 
 
 def basis_pairing(i: int, j: int, n: int) -> int:

@@ -129,8 +129,9 @@ class TestRegularity:
 
     def test_corrupted_matrix_fails(self):
         mat = incidence_matrix(4)
-        bad = IncidenceMatrix(mat.m, mat.bits.copy(), mat.row_labels, mat.col_labels)
-        bad.bits[0, 0] ^= 1
+        bits = mat.bits.copy()
+        bits[0, 0] ^= 1
+        bad = IncidenceMatrix(mat.m, bits, mat.row_labels, mat.col_labels)
         report = check_regularity(bad)
         assert not report.ok
         assert report.failures
@@ -145,19 +146,29 @@ class TestBlockEquivalence:
 
     def test_corrupted_block_detected(self):
         ref = incidence_matrix(4)
-        bad = IncidenceMatrix(ref.m, ref.bits.copy(), ref.row_labels, ref.col_labels)
-        bad.bits[1, 2] ^= 1
+        bits = ref.bits.copy()
+        bits[1, 2] ^= 1
+        bad = IncidenceMatrix(ref.m, bits, ref.row_labels, ref.col_labels)
         with pytest.raises(BlockEquivalenceError):
             verify_block_equiv(bad, ref)
 
     def test_mismatch_names_the_first_differing_entry(self):
         ref = incidence_matrix(6)
-        bad = IncidenceMatrix(ref.m, ref.bits.copy(), ref.row_labels, ref.col_labels)
-        bad.bits[4, 1] ^= 1
-        bad.bits[2, 7] ^= 1
+        bits = ref.bits.copy()
+        bits[4, 1] ^= 1
+        bits[2, 7] ^= 1
+        bad = IncidenceMatrix(ref.m, bits, ref.row_labels, ref.col_labels)
         with pytest.raises(BlockEquivalenceError) as exc:
             verify_block_equiv(bad, ref)
         assert str(exc.value) == f"bit mismatch at block row {ref.row_labels[2]}, column {ref.col_labels[7]}"
+
+    def test_repeated_column_label_rejected(self):
+        # col_perm would not be a bijection, so no relabeling carries the block over
+        ref = incidence_matrix(4)
+        labels = (ref.col_labels[0],) * 2 + ref.col_labels[2:]
+        bad = IncidenceMatrix(ref.m, ref.bits, ref.row_labels, labels)
+        with pytest.raises(BlockEquivalenceError, match="two block columns carry the same label"):
+            verify_block_equiv(bad, ref)
 
     def test_shape_mismatch(self):
         with pytest.raises(BlockEquivalenceError):
@@ -165,6 +176,58 @@ class TestBlockEquivalence:
                 incidence_matrix(2),
                 incidence_matrix(4),
             )
+
+
+def literal_block_equiv(block, reference, row_perm, col_perm):
+    """The block check on dense arrays: block[i, j] must equal
+    reference[row_perm[i], col_perm[j]] everywhere; raises naming the
+    first differing entry in row-major order."""
+    differ = block.bits != reference.bits.take(row_perm, axis=0).take(col_perm, axis=1)
+    if differ.any():
+        i, j = np.argwhere(differ)[0]
+        raise BlockEquivalenceError(
+            f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}"
+        )
+
+
+class TestBlockCheckOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_agrees_on_every_block(self, n):
+        dec = decompose(bmatrix(n))
+        for blk in dec.blocks:
+            assert verify_block_equiv(blk.matrix, dec.references[blk.m]) == (blk.row_perm, blk.col_perm)
+            literal_block_equiv(blk.matrix, dec.references[blk.m], blk.row_perm, blk.col_perm)
+
+    @staticmethod
+    def assert_both_name(blk, ref, bits, i, j):
+        bad = IncidenceMatrix(blk.m, bits, blk.matrix.row_labels, blk.matrix.col_labels)
+        with pytest.raises(BlockEquivalenceError) as fast:
+            verify_block_equiv(bad, ref)
+        with pytest.raises(BlockEquivalenceError) as literal:
+            literal_block_equiv(bad, ref, blk.row_perm, blk.col_perm)
+        assert str(fast.value) == str(literal.value)
+        assert str(fast.value).endswith(f"row {bad.row_labels[i]}, column {bad.col_labels[j]}")
+
+    def test_single_flips_name_the_same_entry(self):
+        # the permutations come from the labels alone, so a flip keeps them
+        dec = decompose(bmatrix(5))
+        flips = 0
+        for blk in dec.blocks:
+            ref = dec.references[blk.m]
+            for i, j in np.ndindex(*blk.matrix.shape):
+                bits = blk.matrix.bits
+                bits[i, j] ^= 1
+                self.assert_both_name(blk, ref, bits, i, j)
+                flips += 1
+        assert flips == 10 * 4 * 6 + 80 * 1 * 2
+
+    def test_flipped_row_names_its_first_column(self):
+        dec = decompose(bmatrix(5))
+        for blk in dec.blocks:
+            for i in range(blk.matrix.rows):
+                bits = blk.matrix.bits
+                bits[i] ^= 1
+                self.assert_both_name(blk, dec.references[blk.m], bits, i, 0)
 
 
 EXPECTED_CENSUS = {
@@ -227,7 +290,7 @@ class TestDecomposition:
         col_order = [t for blk in dec.blocks for t in blk.col_tuples] + list(dec.zero_columns)
         row_pos = {t: i for i, t in enumerate(b.row_tuples)}
         col_pos = {t: j for j, t in enumerate(b.col_tuples)}
-        dense = b.dense()
+        dense = b.bits
         permuted = dense[np.ix_([row_pos[t] for t in row_order], [col_pos[t] for t in col_order])]
         expected = np.zeros_like(permuted)
         r0 = c0 = 0

@@ -8,7 +8,45 @@ from lgplucker.formats import parse_alist, parse_coord, matrix_data
 from conftest import bmatrix
 
 
+# sha256 of the file build writes for each n and format
+BUILD_SHA256 = {
+    (2, "coord"): "d1db587b397cfa3db4d7ab57acc85d9d1ac75f9c395a54599ab4b618e2b24b2c",
+    (2, "alist"): "1e9b8be4aadcf27dfc9d2f7624da31dc7616f6d4880be8c1b082d715b5688f3f",
+    (2, "json"): "4df982d118cd166d403296ffda017daef2c79ef50a99874628836e40d3fb5617",
+    (3, "coord"): "7a64eed9cf8ebd0b79a23892c3d9a7d2f59d60d6b93b3c740c9351d389f2e0ca",
+    (3, "alist"): "8df1e16832e746a7c71ae083ceaf11c89ac3179c1114369512b3dde9fece8b68",
+    (3, "json"): "fc08f8f0ce7479f8955b8836d727107dc225a9f641539438b752c6c05cb506b7",
+    (4, "coord"): "a344fea840ff0f2fa28e15aba543536b18a5762d02bf6327a35b254e68871c7f",
+    (4, "alist"): "6e6b2609439eb01a10325caf251066f2870be1b93f24f03ae258dd262a81a16e",
+    (4, "json"): "2ba112855178594b72d07d2bce935f4e8ff4966dda05fdfdcaa09a3ca49af7f2",
+    (5, "coord"): "d61c46a5c7a2d3d79525adb4e3df1b6930305f37166a1a8bd895d2f17b377a1f",
+    (5, "alist"): "823dde6243c29828bb418f737b3f92942df67d664b6415bacbf68bfb1add3201",
+    (5, "json"): "f0df83d771a58c6c5321576b937a7c9082e05b67a6d83f57d077d21d8fa08de3",
+    (6, "coord"): "a05029929fffb6b6d18dfc2df0b5da8accf12a37fc30d50e548821e72cddffeb",
+    (6, "alist"): "55bb1acc368654aee26a8969bcc5ee79722b8e0194469d326602ef3ed40c09c9",
+    (6, "json"): "cc4529a3df4333d47f55bc8d0ccdcdb6befaa5b74875e8e59c50ddb68627ba25",
+    (7, "coord"): "94bf6adf36c7f2dd2d45c770485d7c3ccf7b40758e049281c16950550499e3dd",
+    (7, "alist"): "9bdc6578a49218f9b71860109d76d90dacf93494d638c9833f5eefe2199a6687",
+    (7, "json"): "06ee962853659bef6ea3a41e675b113afb6baa8646740983ef220a50f4d2e338",
+}
+
+# sha256 of the report decompose prints for each n
+DECOMPOSE_SHA256 = {
+    2: "c4f4748d6a47a7b8f38d889b94ee05600686f9307781abc051b883db2fa53c4f",
+    3: "d2d883cf0c07c9ebf2fb1ff0dbf0fed7ecb1f31ee1f0f316a50cfe31cc1ae260",
+    4: "ac3271f65b8a60d8b77336c1a58e7353b926fdfaa937b8768326351a3fe16d77",
+    5: "7011d1ffb4556ea83d69363c67170ea70371fb9cdc7a222bc08dbfc59be88928",
+    6: "39ca332b950bbbfa93d51bdafa911627f05aa5a886426d85824b60e81bbe8f1b",
+}
+
+
 class TestBuild:
+    @pytest.mark.parametrize("n,fmt", sorted(BUILD_SHA256))
+    def test_file_bytes_pinned(self, n, fmt, tmp_path, capsys):
+        out = tmp_path / f"b.{fmt}"
+        assert main(["build", "--n", str(n), "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_SHA256[n, fmt]
+
     def test_coord_file(self, tmp_path, capsys):
         out = tmp_path / "b3.coord"
         assert main(["build", "--n", "3", "--out", str(out)]) == 0
@@ -50,6 +88,11 @@ class TestDecompose:
 
     def test_cap(self):
         assert main(["decompose", "--n", "7"]) == 3
+
+    @pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
+    def test_report_bytes_pinned(self, n, capsys):
+        assert main(["decompose", "--n", str(n)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == DECOMPOSE_SHA256[n]
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lgplucker import atlas, incidence_matrix
 from lgplucker.formats import (
-    BinaryMatrixData,
+    BinaryMatrix,
     matrix_data,
     parse_alist,
     parse_coord,
@@ -92,6 +92,15 @@ class TestCoord:
         with pytest.raises(ValueError, match="line 2"):
             parse_coord("2 2 1\n1 x\n")
 
+    def test_entry_out_of_row_major_order_rejected(self):
+        # sorting it silently would re-serialize as different bytes
+        with pytest.raises(ValueError, match="entry 2 does not follow entry 1"):
+            parse_coord("2 2 2\n2 2\n1 1\n")
+
+    def test_blank_line_before_the_last_entry_names_its_line(self):
+        with pytest.raises(ValueError, match="line 3"):
+            parse_coord("2 2 2\n1 1\n\n2 2\n")
+
 
 class TestAlist:
     def test_l4_header_and_weights(self):
@@ -155,6 +164,17 @@ class TestAlist:
         with pytest.raises(ValueError, match=f"line {line}:"):
             parse_alist(text)
 
+    def test_indices_out_of_order_name_their_line(self):
+        with pytest.raises(ValueError, match="line 7: row 1 repeats a column index or lists them out of order"):
+            parse_alist("2 1\n1 2\n1 1\n2\n1\n1\n2 1\n")
+
+    def test_padding_before_an_index_names_its_line(self):
+        # ones at (1, 1), (1, 2), (2, 1); column 2 is written "0 1", not "1 0"
+        text = "2 2\n2 2\n2 1\n2 1\n1 2\n0 1\n1 2\n1 0\n"
+        assert parse_alist(text.replace("0 1\n", "1 0\n", 1)).entries == ((0, 0), (0, 1), (1, 0))
+        with pytest.raises(ValueError, match="line 6: padding 0 before a nonzero row index"):
+            parse_alist(text)
+
     def test_maximum_weight_disagreeing_with_weights(self):
         # declared maximum column weight 2 for columns of weight 1: the
         # padding would not re-serialize to this text
@@ -191,6 +211,10 @@ class TestJson:
         with pytest.raises(ValueError):
             parse_json(json.dumps(doc))
 
+    def test_entries_out_of_row_major_order_rejected(self):
+        with pytest.raises(ValueError, match="entry 2 does not follow entry 1"):
+            parse_json('{"rows": 2, "cols": 2, "nnz": 2, "entries": [[2, 2], [1, 1]]}')
+
     def test_string_entry_rejected(self):
         with pytest.raises(ValueError):
             parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [["1", 2]]}')
@@ -213,14 +237,14 @@ class TestJson:
 class TestCarrier:
     def test_rejects_unsorted_entries(self):
         with pytest.raises(ValueError):
-            BinaryMatrixData(2, 2, ((1, 1), (0, 0)))
+            BinaryMatrix.from_entries(2, 2, ((1, 1), (0, 0)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            BinaryMatrixData(2, 2, ((2, 0),))
+            BinaryMatrix.from_entries(2, 2, ((2, 0),))
 
     def test_adapts_incidence_and_relation_matrices(self):
         mat = atlas(4)[0]
         data = matrix_data(mat)
         assert (data.rows, data.cols) == mat.shape
-        assert data.to_dense().tolist() == mat.bits.tolist()
+        assert data.bits.tolist() == mat.bits.tolist()
