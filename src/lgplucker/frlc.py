@@ -13,17 +13,16 @@ the relation rows are all there is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 from math import comb
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, index_tuples, split_free_pairs, tuple_rank, validate_index_tuple
+from .combinatorics import IndexTuple, split_free_pairs, validate_index_tuple
 from .errors import BUILD_CAP, ResourceCapError
 from .fields import Field, QQ, Scalar
-from .symplectic import ExteriorVector, arranged_coordinates, pair_adjacent_sign
+from .symplectic import ExteriorVector, arranged_coordinates, coordinates
 
 
 @dataclass
@@ -52,16 +51,10 @@ class LinearFunctional:
     def evaluate(self, w: ExteriorVector) -> Scalar:
         if w.n != self.n or w.grade != self.n or w.field != self.field:
             raise ValueError("functional and vector live in different spaces")
-        f = self.field
-        total = f.zero
-        for key, c in self.coeffs.items():
-            v = w.coefficient(key)
-            if not v:
-                continue
-            if pair_adjacent_sign(key, self.n) < 0:
-                v = f.neg(v)
-            total = f.add(total, f.mul(c, v))
-        return total
+        x = arranged_coordinates(w)
+        position = coordinates(self.n, self.n).position
+        total = sum((c * x[position[key]] for key, c in self.coeffs.items()), self.field.zero)
+        return self.field.coerce(total)
 
     __call__ = evaluate
 
@@ -70,26 +63,21 @@ class PlueckerMatrix(linalg.BinaryMatrix):
     """Sparse 0/1 matrix of the contraction relation system.
 
     Rows are indexed by the (n-2)-tuples and columns by the n-tuples over
-    [1, 2n], both in canonical lexicographic order; they are the row and
-    column labels. The entry at (gamma, beta) is 1 exactly when beta
-    contains gamma and the two extra indices form a complementary pair.
+    [1, 2n], both in the canonical order of :func:`coordinates`; they are
+    the row and column labels. The entry at (gamma, beta) is 1 exactly
+    when beta contains gamma and the two extra indices form a
+    complementary pair.
     """
 
-    __slots__ = ("n", "_col_signs")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, row_tuples: List[IndexTuple], col_tuples: List[IndexTuple], row_supports: List[Tuple[int, ...]]):
         super().__init__(len(row_tuples), len(col_tuples), row_supports, row_tuples, col_tuples)
         self.n = n
-        self._col_signs: List[int] | None = None
 
     # the labels are the index tuples; these names read the same slots
     row_tuples = linalg.BinaryMatrix.row_labels
     col_tuples = linalg.BinaryMatrix.col_labels
-
-    def _column_signs(self) -> List[int]:
-        if self._col_signs is None:
-            self._col_signs = [pair_adjacent_sign(t, self.n) for t in self.col_tuples]
-        return self._col_signs
 
     def apply(self, w: ExteriorVector) -> List[Scalar]:
         """The relation values on w; equals the coordinates of contract(w).
@@ -100,23 +88,11 @@ class PlueckerMatrix(linalg.BinaryMatrix):
         """
         if w.n != self.n or w.grade != self.n:
             raise ValueError(f"expected a grade-{self.n} vector over 2n = {2 * self.n}")
-        f = w.field
-        signs = self._column_signs()
-        cols = self.col_labels
-        out = []
-        for row_t, support in zip(self.row_labels, self.row_supports):
-            s = f.zero
-            for j in support:
-                v = w.coefficient(cols[j])
-                if not v:
-                    continue
-                if signs[j] < 0:
-                    v = f.neg(v)
-                s = f.add(s, v)
-            if s and pair_adjacent_sign(row_t, self.n) < 0:
-                s = f.neg(s)
-            out.append(s)
-        return out
+        p = w.field.char
+        x = arranged_coordinates(w)
+        row_signs = coordinates(self.n - 2, self.n).signs.tolist()
+        out = [sign * sum([x[j] for j in s], w.field.zero) for sign, s in zip(row_signs, self.row_supports)]
+        return [v % p for v in out] if p else out
 
 
 def contraction_functional(gamma: IndexTuple, n: int, field: Field = QQ) -> LinearFunctional:
@@ -140,19 +116,19 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
         raise ValueError(f"need n >= 2, got {n}")
     if n > BUILD_CAP:
         raise ResourceCapError(f"n = {n} exceeds the build cap {BUILD_CAP}")
-    row_tuples = index_tuples(n - 2, 2 * n)
-    col_tuples = index_tuples(n, 2 * n)
+    row_tuples = coordinates(n - 2, n).tuples
+    cols = coordinates(n, n)
     supports: List[Tuple[int, ...]] = []
     for gamma in row_tuples:
         support = set(gamma)
-        cols = []
+        row = []
         for i in range(1, n + 1):
             ibar = 2 * n + 1 - i
             if i in support or ibar in support:
                 continue
-            cols.append(tuple_rank(tuple(sorted(gamma + (i, ibar))), 2 * n))
-        supports.append(tuple(sorted(cols)))
-    return PlueckerMatrix(n, row_tuples, col_tuples, supports)
+            row.append(cols.position[tuple(sorted(gamma + (i, ibar)))])
+        supports.append(tuple(sorted(row)))
+    return PlueckerMatrix(n, row_tuples, cols.tuples, supports)
 
 
 def row_weight_law(gamma: IndexTuple, n: int) -> int:
@@ -161,33 +137,15 @@ def row_weight_law(gamma: IndexTuple, n: int) -> int:
     return n - len(split.pairs) - len(split.free)
 
 
-class ArrangedColumns(NamedTuple):
-    """The grade-n coordinates in canonical order: each tuple, its
-    position, and its pair-adjacent sign as an int64 vector."""
-
-    tuples: List[IndexTuple]
-    position: Dict[IndexTuple, int]
-    signs: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _arranged_columns(n: int) -> ArrangedColumns:
-    tuples = index_tuples(n, 2 * n)
-    return ArrangedColumns(
-        tuples,
-        {t: j for j, t in enumerate(tuples)},
-        np.array([pair_adjacent_sign(t, n) for t in tuples], dtype=np.int64),
-    )
-
-
 def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[LinearFunctional]:
     """Basis of all functionals vanishing on the span of the given points.
 
     Rows of the point matrix are pair-adjacent coordinate vectors, so the
     nullspace vectors are functional coefficient vectors in the same
-    system, directly comparable with the 0/1 relation rows. Over GF(p)
-    the point matrix is filled as int64 residues and handed to
-    ``linalg.nullspace_mod``; over QQ it stays a sparse Fraction matrix.
+    system, directly comparable with the 0/1 relation rows. The points'
+    ``values`` are stacked and twisted in one step; over GF(p) the int64
+    matrix goes to ``linalg.nullspace_mod``, over QQ the Fraction rows go
+    to ``linalg.nullspace``.
     """
     points = list(points)
     if not points:
@@ -196,25 +154,23 @@ def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[Line
     for w in points:
         if w.n != n or w.grade != n or w.field != field:
             raise ValueError("points must share one grade-n space and field")
-    cols = _arranged_columns(n)
+    table = coordinates(n, n)
+    a = np.stack([w.values for w in points]) * table.signs
     p = field.char
     if p:
-        a = np.zeros((len(points), len(cols.tuples)), dtype=np.int64)
-        for i, w in enumerate(points):
-            a[i, [cols.position[t] for t in w.coords]] = list(w.coords.values())
-        basis = linalg.nullspace_mod(a * cols.signs % p, p).tolist()
+        basis = linalg.nullspace_mod(a, p).tolist()
     else:
-        basis = linalg.nullspace(linalg.ExactMatrix.from_rows([arranged_coordinates(w) for w in points], field))
+        basis = linalg.nullspace(linalg.ExactMatrix.from_rows(a, field))
     out = []
     for vec in basis:
-        coeffs = {cols.tuples[j]: v for j, v in enumerate(vec) if v}
+        coeffs = {table.tuples[j]: v for j, v in enumerate(vec) if v}
         out.append(LinearFunctional(n, field, coeffs))
     return out
 
 
 def functional_matrix(functionals: Sequence[LinearFunctional], n: int, field: Field) -> linalg.ExactMatrix:
     """Stack functional coefficient vectors as rows of an exact matrix."""
-    cols = _arranged_columns(n).position
+    cols = coordinates(n, n).position
     rows = []
     for h in functionals:
         if h.n != n or h.field != field:

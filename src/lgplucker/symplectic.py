@@ -2,18 +2,20 @@
 
 Basis convention: e_1, ..., e_{2n} with <e_i, e_j> = +1 exactly when
 j = 2n - i + 1 and i < j, so index i is paired with 2n - i + 1 and the
-form is alternating. Exterior coordinates are stored against sorted index
+form is alternating. Exterior coordinates are taken against sorted index
 tuples (the coefficient of e_{a_1} ^ ... ^ e_{a_k} with a_1 < ... < a_k);
 a coordinate addressed by an unsorted word is the sorted coordinate times
-the parity of the sorting permutation.
+the parity of the sorting permutation. An exterior vector holds all of
+them as one dense array in the canonical order of ``coordinates``.
 
 The contraction map pairs off two wedge factors through the form. Written
 against sorted tuples its coefficients carry permutation signs, but they
 all become +1 in the "pair-adjacent" coordinate system, where each index
 word is rearranged as (free indices ascending, then each complementary
 pair (i, 2n-i+1) adjacent, pairs ascending). ``pair_adjacent_sign`` is the
-parity of that rearrangement; matrix-level code works against these
-coordinates so the contraction system keeps 0/1 coefficients.
+parity of that rearrangement, and ``coordinates`` tabulates it once per
+grade; matrix-level code works against these coordinates so the
+contraction system keeps 0/1 coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .combinatorics import (
     index_tuples,
     sorting_sign,
     split_free_pairs,
-    validate_index_tuple,
 )
 from .errors import ENUMERATION_CAP, ResourceCapError
 from .fields import Field, GF, Scalar
@@ -67,25 +68,70 @@ def pairing(x: Sequence, y: Sequence, n: int, field: Field) -> Scalar:
     return s
 
 
-class ExteriorVector:
-    """Sparse exterior tensor of a fixed grade with exact coefficients."""
+class Coordinates(NamedTuple):
+    """The exterior coordinates of one grade in canonical order: each index
+    tuple, its position, and its pair-adjacent sign as an int64 vector."""
 
-    __slots__ = ("n", "grade", "field", "coords")
+    tuples: List[IndexTuple]
+    position: Dict[IndexTuple, int]
+    signs: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def coordinates(grade: int, n: int) -> Coordinates:
+    """The coordinate table of grade ``grade`` over [1, 2n], built once;
+    every dense coordinate array in the package is laid out in its order."""
+    tuples = index_tuples(grade, 2 * n)
+    return Coordinates(
+        tuples,
+        {t: j for j, t in enumerate(tuples)},
+        np.array([pair_adjacent_sign(t, n) for t in tuples], dtype=np.int64),
+    )
+
+
+class ExteriorVector:
+    """Exterior tensor of a fixed grade with exact coefficients.
+
+    ``values`` holds every coordinate, zeros included, in the order of
+    ``coordinates(grade, n)``: int64 residues in [0, p) over GF(p), an
+    object array of Fractions over QQ.
+    """
+
+    __slots__ = ("n", "grade", "field", "values")
 
     def __init__(self, n: int, grade: int, field: Field, coords: Dict[IndexTuple, Scalar] | None = None):
         if not 0 <= grade <= 2 * n:
             raise ValueError(f"grade {grade} outside [0, {2 * n}]")
-        clean: Dict[IndexTuple, Scalar] = {}
-        for key, val in (coords or {}).items():
-            key = tuple(key)
-            validate_index_tuple(key, 2 * n, length=grade)
-            val = field.coerce(val)
-            if val:
-                clean[key] = val
         self.n = n
         self.grade = grade
         self.field = field
-        self.coords = clean
+        size = len(coordinates(grade, n).tuples)
+        self.values = np.zeros(size, dtype=np.int64) if field.char else np.full(size, field.zero, dtype=object)
+        for key, val in (coords or {}).items():
+            self.values[self._position(key)] = field.coerce(val)
+
+    @classmethod
+    def _reduced(cls, n: int, grade: int, field: Field, values: np.ndarray) -> "ExteriorVector":
+        """Wrap an array laid out as ``values`` is, of exact field elements
+        (ints over GF(p), reduced here), without checking it entry by entry."""
+        w = cls.__new__(cls)
+        w.n, w.grade, w.field = n, grade, field
+        w.values = values % field.char if field.char else values
+        return w
+
+    def _position(self, alpha: IndexTuple) -> int:
+        alpha = tuple(alpha)
+        j = coordinates(self.grade, self.n).position.get(alpha)
+        if j is None:
+            raise ValueError(f"{alpha!r} is not a strictly increasing {self.grade}-tuple over [1, {2 * self.n}]")
+        return j
+
+    @property
+    def coords(self) -> Dict[IndexTuple, Scalar]:
+        """The nonzero coordinates, keyed by index tuple in canonical order."""
+        tuples = coordinates(self.grade, self.n).tuples
+        nonzero = np.flatnonzero(self.values)
+        return dict(zip([tuples[j] for j in nonzero.tolist()], self.values[nonzero].tolist()))
 
     @classmethod
     def basis(cls, n: int, field: Field, alpha: IndexTuple) -> "ExteriorVector":
@@ -93,18 +139,20 @@ class ExteriorVector:
         return cls(n, len(alpha), field, {alpha: field.one})
 
     def coefficient(self, alpha: IndexTuple) -> Scalar:
-        return self.coords.get(tuple(alpha), self.field.zero)
+        """Coordinate at a strictly increasing index tuple; anything else
+        raises ValueError (see :meth:`coefficient_word`)."""
+        return self.values.item(self._position(alpha))
 
     def coefficient_word(self, word: Tuple[int, ...]) -> Scalar:
         """Coordinate addressed by a possibly unsorted word, sign tracked."""
         sign = sorting_sign(tuple(word))
         if sign == 0:
             return self.field.zero
-        val = self.coords.get(tuple(sorted(word)), self.field.zero)
+        val = self.coefficient(sorted(word))
         return val if sign > 0 else self.field.neg(val)
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.values.any()
 
     def _compatible(self, other: "ExteriorVector") -> None:
         if (self.n, self.grade, self.field) != (other.n, other.grade, other.field):
@@ -112,10 +160,7 @@ class ExteriorVector:
 
     def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
         self._compatible(other)
-        coords = dict(self.coords)
-        for k, v in other.coords.items():
-            coords[k] = self.field.add(coords.get(k, self.field.zero), v)
-        return ExteriorVector(self.n, self.grade, self.field, coords)
+        return ExteriorVector._reduced(self.n, self.grade, self.field, self.values + other.values)
 
     def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
         return self + (-other)
@@ -124,10 +169,7 @@ class ExteriorVector:
         return self.scaled(self.field.neg(self.field.one))
 
     def scaled(self, s: Scalar) -> "ExteriorVector":
-        s = self.field.coerce(s)
-        return ExteriorVector(
-            self.n, self.grade, self.field, {k: self.field.mul(v, s) for k, v in self.coords.items()}
-        )
+        return ExteriorVector._reduced(self.n, self.grade, self.field, self.values * self.field.coerce(s))
 
     def __rmul__(self, s) -> "ExteriorVector":
         return self.scaled(s)
@@ -136,7 +178,7 @@ class ExteriorVector:
         return (
             isinstance(other, ExteriorVector)
             and (self.n, self.grade, self.field) == (other.n, other.grade, other.field)
-            and self.coords == other.coords
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self) -> str:
@@ -198,7 +240,6 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
     p = field.char
     v = np.array(vecs, dtype=np.int64 if p else object)
     w = v[0]
-    tuples = index_tuples(1, 2 * n)
     for j in range(1, k):
         table = laplace_table(j, 2 * n)
         terms = v[j][table.column] * w[table.previous]
@@ -208,9 +249,7 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
         w = even - odd if j % 2 == 0 else odd - even
         if p:
             w %= p
-        tuples = table.tuples
-    coords = {t: c for t, c in zip(tuples, w.tolist()) if c}
-    return ExteriorVector(n, k, field, coords)
+    return ExteriorVector._reduced(n, k, field, w)
 
 
 def contract(w: ExteriorVector) -> ExteriorVector:
@@ -281,18 +320,14 @@ def pair_adjacent_sign(alpha: IndexTuple, n: int) -> int:
 
 def coordinate_vector(w: ExteriorVector) -> List[Scalar]:
     """Plain coordinates of w over the canonical order of its index set."""
-    return [w.coefficient(t) for t in index_tuples(w.grade, 2 * w.n)]
+    return w.values.tolist()
 
 
 def arranged_coordinates(w: ExteriorVector) -> List[Scalar]:
     """Coordinates of w in the pair-adjacent system (sign-twisted)."""
-    out = []
-    for t in index_tuples(w.grade, 2 * w.n):
-        v = w.coefficient(t)
-        if v and pair_adjacent_sign(t, w.n) < 0:
-            v = w.field.neg(v)
-        out.append(v)
-    return out
+    p = w.field.char
+    twisted = w.values * coordinates(w.grade, w.n).signs
+    return (twisted % p if p else twisted).tolist()
 
 
 def _leading_columns_increase(rows: Sequence[Sequence[Scalar]]) -> bool:
@@ -454,12 +489,11 @@ class PluckerRelationTable(NamedTuple):
     """The quadratic relations of the grade-n embedding, precomputed.
 
     Relation r is the sum over its terms of sign * x[first] * x[second],
-    x the coordinate vector over the canonical order of the n-tuples.
+    x the ``values`` of a grade-n vector (see :func:`coordinates`).
     Its terms are ``first[starts[r]:starts[r + 1]]`` and so on, and
     ``labels[r]`` is the (alpha, beta) pair it came from.
     """
 
-    columns: Dict[IndexTuple, int]
     labels: Tuple[Tuple[IndexTuple, IndexTuple], ...]
     first: np.ndarray
     second: np.ndarray
@@ -476,7 +510,7 @@ def plucker_relation_table(n: int) -> PluckerRelationTable:
     a pair of columns are merged, and relations that cancel identically
     are left out.
     """
-    columns = {t: j for j, t in enumerate(index_tuples(n, 2 * n))}
+    columns = coordinates(n, n).position
     labels, first, second, signs, starts = [], [], [], [], []
     for alpha in index_tuples(n - 1, 2 * n):
         for beta in index_tuples(n + 1, 2 * n):
@@ -500,7 +534,6 @@ def plucker_relation_table(n: int) -> PluckerRelationTable:
                 second.append(b)
                 signs.append(c)
     return PluckerRelationTable(
-        columns,
         tuple(labels),
         np.array(first, dtype=np.intp),
         np.array(second, dtype=np.intp),
@@ -521,9 +554,7 @@ def _relation_values(w: ExteriorVector) -> np.ndarray:
         raise ValueError(f"relations apply to grade {w.n}, got {w.grade}")
     table = plucker_relation_table(w.n)
     p = w.field.char
-    x = np.zeros(len(table.columns), dtype=np.int64 if p else object)
-    x[[table.columns[t] for t in w.coords]] = list(w.coords.values())
-    products = x[table.first] * x[table.second]
+    products = w.values[table.first] * w.values[table.second]
     if p:
         products %= p
     values = np.add.reduceat(products * table.signs, table.starts)

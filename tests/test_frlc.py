@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -220,3 +221,27 @@ class TestVanishingSpace:
         cols = index_tuples(n, 2 * n)
         want = [{cols[j]: v for j, v in enumerate(vec) if v} for vec in nullspace(m)]
         assert [h.coeffs for h in vanishing_space(points, field)] == want
+
+
+class TestScalarTypes:
+    """Every scalar handed out is a Python int over GF(p) and a Fraction
+    over QQ, never a numpy scalar: the CLI writes its JSON with
+    ``default=str``, which would print a numpy scalar as a string."""
+
+    @pytest.mark.parametrize("field", [GF(3), GF(2147483647), QQ])
+    def test_no_numpy_scalars(self, field):
+        n = 3
+        scalar = int if field.char else Fraction
+        w = plucker_vector(random_lagrangian(n, field, seed=1))
+        v = w + ExteriorVector.basis(n, field, (1, 2, 5))
+        outputs = [
+            [v.coefficient(t) for t in index_tuples(n, 2 * n)],
+            list(v.coords.values()),
+            coordinate_vector(v),
+            arranged_coordinates(v),
+            bmatrix(n).apply(v),
+            [c for h in vanishing_space([w, v], field) for c in h.coeffs.values()],
+            [contraction_functional((1,), n, field)(v)],
+        ]
+        for values in outputs:
+            assert values and all(type(x) is scalar for x in values), values

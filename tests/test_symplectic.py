@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,14 +22,18 @@ from lgplucker import (
     is_isotropic,
     lagrangian_count,
     lagrangian_subspaces,
+    pair_adjacent_sign,
     pairing,
     plucker_vector,
     random_lagrangian,
     rank,
     satisfies_plucker_relations,
+    sorting_sign,
+    tuple_rank,
     wedge,
 )
-from lgplucker.symplectic import failing_plucker_relation, laplace_table, plucker_relation_table
+from lgplucker.combinatorics import validate_index_tuple
+from lgplucker.symplectic import coordinates, failing_plucker_relation, laplace_table, plucker_relation_table
 from conftest import enumerated_bases, enumerated_points
 
 
@@ -561,3 +567,105 @@ class TestPluckerRelations:
             if not decomposable:
                 checked_nondecomposable += 1
         assert checked_nondecomposable > 10
+
+
+class DictVector:
+    """The sparse dict carrier that ExteriorVector held before its dense
+    array, kept as the reference: the nonzero coordinates keyed by index
+    tuple, every key validated and every value coerced."""
+
+    def __init__(self, n, grade, field, coords):
+        self.n, self.grade, self.field = n, grade, field
+        self.coords = {}
+        for key, val in coords.items():
+            validate_index_tuple(key, 2 * n, length=grade)
+            val = field.coerce(val)
+            if val:
+                self.coords[key] = val
+
+    def coefficient(self, alpha):
+        return self.coords.get(alpha, self.field.zero)
+
+    def coefficient_word(self, word):
+        sign = sorting_sign(word)
+        if sign == 0:
+            return self.field.zero
+        val = self.coefficient(tuple(sorted(word)))
+        return val if sign > 0 else self.field.neg(val)
+
+    def __add__(self, other):
+        coords = dict(self.coords)
+        for k, v in other.coords.items():
+            coords[k] = self.field.add(coords.get(k, self.field.zero), v)
+        return DictVector(self.n, self.grade, self.field, coords)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, s):
+        s = self.field.coerce(s)
+        return DictVector(self.n, self.grade, self.field, {k: self.field.mul(v, s) for k, v in self.coords.items()})
+
+    def __eq__(self, other):
+        return self.coords == other.coords
+
+    def __repr__(self):
+        terms = ", ".join(f"{k}: {v}" for k, v in sorted(self.coords.items()))
+        return f"ExteriorVector(n={self.n}, grade={self.grade}, {{{terms}}})"
+
+
+# zeros, negative ints, and Fractions whose denominators are units mod 2, 5 and 2^31 - 1
+SCALARS = st.one_of(
+    st.just(0),
+    st.integers(-(10**12), 10**12),
+    st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 3, 7, 9, 21])),
+)
+
+
+def typed(coords):
+    """The coordinates with each value's type, so a numpy scalar differs."""
+    return {k: (v, type(v)) for k, v in coords.items()}
+
+
+class TestDenseCarrier:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_coordinate_table(self, n):
+        for k in range(2 * n + 1):
+            table = coordinates(k, n)
+            assert table is coordinates(k, n)
+            assert table.tuples == index_tuples(k, 2 * n)
+            assert len(table.position) == len(table.tuples)
+            assert all(table.position[t] == tuple_rank(t, 2 * n) for t in table.tuples)
+            assert table.signs.dtype == np.int64
+            assert table.signs.tolist() == [pair_adjacent_sign(t, n) for t in table.tuples]
+
+    @pytest.mark.parametrize("alpha", [(2, 1), (1, 1), (1,), (1, 5)])
+    def test_coefficient_rejects_non_canonical_tuples(self, alpha):
+        w = ExteriorVector(2, 2, GF(3), {(1, 2): 1})
+        assert w.coefficient_word((2, 1)) == 2
+        with pytest.raises(ValueError, match=re.escape(repr(alpha))):
+            w.coefficient(alpha)
+
+    @given(st.data())
+    def test_matches_dict_reference(self, data):
+        n = data.draw(st.integers(1, 4))
+        grade = data.draw(st.integers(0, 2 * n))
+        field = data.draw(st.sampled_from([GF(2), GF(5), GF(2147483647), QQ]))
+        tuples = index_tuples(grade, 2 * n)
+
+        def draw_coords():
+            keys = data.draw(st.lists(st.sampled_from(tuples), unique=True, max_size=6))
+            return {k: data.draw(SCALARS) for k in keys}
+
+        a, b, s = draw_coords(), draw_coords(), data.draw(SCALARS)
+        w, v = ExteriorVector(n, grade, field, a), ExteriorVector(n, grade, field, b)
+        rw, rv = DictVector(n, grade, field, a), DictVector(n, grade, field, b)
+        for got, want in [(w, rw), (v, rv), (w + v, rw + rv), (w - v, rw - rv), (w.scaled(s), rw.scaled(s))]:
+            assert typed(got.coords) == typed(want.coords)
+            assert got.is_zero() == (not want.coords)
+            assert repr(got) == repr(want)
+            assert [got.coefficient(t) for t in tuples] == [want.coefficient(t) for t in tuples]
+        word = tuple(data.draw(st.lists(st.integers(1, 2 * n), min_size=grade, max_size=grade)))
+        assert w.coefficient_word(word) == rw.coefficient_word(word)
+        assert (w == v) == (rw == rv)
+        assert (w + v) - v == w
