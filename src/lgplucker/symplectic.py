@@ -21,9 +21,10 @@ contraction system keeps 0/1 coefficients.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -224,9 +225,10 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
     w_{j+1}[T] = sum over pos of (-1)^(j + pos) v_{j+1}[T_pos] w_j[T - T_pos].
     Over GF(p) this runs on int64 residues, each product below p^2 < 2^62
     reduced before the alternating sum, so it is exact for every
-    p < MAX_PRIME; over QQ the same gathers run on an object array of
-    Fractions. No step divides. Linearly dependent inputs simply give the
-    zero vector.
+    p < MAX_PRIME. Over QQ the same gathers run on Python ints: each row
+    is scaled by the lcm of its denominators, and each minor is divided by
+    the product of the scales at the end. No step of the recurrence
+    divides. Linearly dependent inputs simply give the zero vector.
     """
     vecs = [[field.coerce(v) for v in row] for row in vectors]
     k = len(vecs)
@@ -235,10 +237,21 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
     for row in vecs:
         if len(row) != 2 * n:
             raise ValueError(f"vectors must have length {2 * n}")
+    return _wedge(vecs, n, field)
+
+
+def _wedge(vecs: Sequence[Sequence[Scalar]], n: int, field: Field) -> ExteriorVector:
+    """:func:`wedge` of at most 2n exact rows of length 2n, unchecked."""
+    k = len(vecs)
     if k == 0:
         return ExteriorVector(n, 0, field, {(): field.one})
     p = field.char
-    v = np.array(vecs, dtype=np.int64 if p else object)
+    if p:
+        v = np.array(vecs, dtype=np.int64)
+    else:
+        scales = [lcm(*(x.denominator for x in row)) for row in vecs]
+        v = np.array([[x.numerator * (s // x.denominator) for x in row] for row, s in zip(vecs, scales)], dtype=object)
+        scale = prod(scales)
     w = v[0]
     for j in range(1, k):
         table = laplace_table(j, 2 * n)
@@ -249,6 +262,8 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
         w = even - odd if j % 2 == 0 else odd - even
         if p:
             w %= p
+    if not p:
+        w = np.array([Fraction(x, scale) for x in w.tolist()], dtype=object)
     return ExteriorVector._reduced(n, k, field, w)
 
 
@@ -359,6 +374,13 @@ class SubspaceBasis:
         self.field = field
         self.rows = coerced
 
+    @classmethod
+    def _reduced(cls, n: int, field: Field, rows: Tuple[Tuple[Scalar, ...], ...]) -> "SubspaceBasis":
+        """Wrap exact rows of length 2n with increasing leading columns, unchecked."""
+        basis = cls.__new__(cls)
+        basis.n, basis.field, basis.rows = n, field, rows
+        return basis
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -384,7 +406,7 @@ def is_isotropic(basis: SubspaceBasis) -> bool:
 
 def plucker_vector(basis: SubspaceBasis) -> ExteriorVector:
     """Wedge of the basis rows: the subspace's exterior coordinates."""
-    return wedge(basis.rows, basis.n, basis.field)
+    return _wedge(basis.rows, basis.n, basis.field)
 
 
 def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
@@ -430,7 +452,8 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
         if linalg.rank(m) == len(rows) + 1:
             rows.append(cand)
     lag = SubspaceBasis(n, field, rows)
-    assert is_isotropic(lag)
+    if not is_isotropic(lag):
+        raise ArithmeticError(f"random_lagrangian(n={n}, seed={seed}) built a basis that is not isotropic")
     return lag
 
 
@@ -458,7 +481,8 @@ def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
     one free value y per pair r <= s with p_r + p_s < 2n - 1, setting
     X[r, s] = eps_s y and X[s, r] = eps_r y. Within a cell the free values
     run through GF(q)^d in lexicographic order, the pairs ordered by r
-    and then s, and the first pair varying slowest.
+    and then s, and the first pair varying slowest. Each basis is reduced
+    by construction, so it is filled in from its cell's template unchecked.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -469,20 +493,25 @@ def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
             f"{total} subspaces exceed the enumeration cap {ENUMERATION_CAP}; "
             "use random_lagrangian for sampling instead"
         )
-    last = 2 * n - 1
-    for pivots in combinations(range(2 * n), n):
+    width = 2 * n
+    last = width - 1
+    for pivots in combinations(range(width), n):
         if any(last - c in pivots for c in pivots):
             continue
+        # the rows laid end to end; each free value fills X[r, s] and X[s, r]
+        template = [0] * (n * width)
+        for r, c in enumerate(pivots):
+            template[r * width + c] = 1
         eps = [1 if c < n else -1 for c in pivots]
         free = [(r, s) for r in range(n) for s in range(r, n) if pivots[r] + pivots[s] < last]
-        for values in product(range(q), repeat=len(free)):
-            rows = [[0] * (2 * n) for _ in range(n)]
-            for r, c in enumerate(pivots):
-                rows[r][c] = 1
-            for (r, s), y in zip(free, values):
-                rows[r][last - pivots[s]] = eps[s] * y % q
-                rows[s][last - pivots[r]] = eps[r] * y % q
-            yield SubspaceBasis(n, field, rows)
+        slots = [(r * width + last - pivots[s], eps[s], s * width + last - pivots[r], eps[r]) for r, s in free]
+        for values in product(range(q), repeat=len(slots)):
+            flat = template.copy()
+            for (a, eps_a, b, eps_b), y in zip(slots, values):
+                flat[a] = eps_a * y % q
+                flat[b] = eps_b * y % q
+            rows = tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width))
+            yield SubspaceBasis._reduced(n, field, rows)
 
 
 class PluckerRelationTable(NamedTuple):

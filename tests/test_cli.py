@@ -39,6 +39,18 @@ DECOMPOSE_SHA256 = {
     6: "39ca332b950bbbfa93d51bdafa911627f05aa5a886426d85824b60e81bbe8f1b",
 }
 
+# sha256 of the verify report, without its timings and re-dumped with
+# indent 2, for each (n, q); seed 0
+VERIFY_SHA256 = {
+    (2, 2): "f87f4049a4ef63f28893df88ddfc079fada80991bd769971fb463dbecab18f0a",
+    (2, 3): "8b0a86c071b22c8518d34157936297ee494dab2e36c94010726888e0285995f3",
+    (2, 5): "b97dd569187730f43857b1e5fde5ee098cab72688c016c2f45e8c99a7dbf4ae3",
+    (2, 7): "2bc605f66e58c4da28f5940b92862bddb3feaab5860344fd2c9bf206ee4e0a68",
+    (3, 2): "f0d9a29535e61091b717e9fe1fa8991248c0b76521d616513bff02b82310ff58",
+    (3, 3): "771117fa9e100e5db897ffd5e54e6f6116374275913e4b444688dee4cd54e1f2",
+    (4, 2): "0f5e86f03b6670921acbb3c2867ff7c238483b64fe217b025bd7add9b02a704f",
+}
+
 
 class TestBuild:
     @pytest.mark.parametrize("n,fmt", sorted(BUILD_SHA256))
@@ -147,6 +159,13 @@ class TestVerify:
         assert all(0 < v for v in timings.values())
         assert any(round(v, 3) != v for v in timings.values())
 
+    @pytest.mark.parametrize("n,q", sorted(VERIFY_SHA256))
+    def test_report_without_timings_pinned(self, n, q, capsys):
+        assert main(["verify", "--n", str(n), "--q", str(q)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["timings"]
+        assert hashlib.sha256(json.dumps(doc, indent=2).encode("utf-8")).hexdigest() == VERIFY_SHA256[n, q]
+
     def test_failing_point_names_its_relation(self, capsys, monkeypatch):
         import lgplucker.cli as cli_mod
         from lgplucker import ExteriorVector, GF
@@ -220,6 +239,14 @@ class TestCount:
         assert main(["count", "--n", "2", "--q", "5", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["formula"] == 156 and doc["enumerated"] == 156
+
+    @pytest.mark.parametrize("flags,digest", [
+        ([], "d56422a772a593a2cb0f600eb3b8727afbc6d16e4318449f5a648f610fe88af4"),
+        (["--json"], "d935b384a5fa1900fa6c9d6e00c48a87e92a276d776d3af9a3d5f0287dc301ed"),
+    ])
+    def test_3_5_output_pinned(self, flags, digest, capsys):
+        assert main(["count", "--n", "3", "--q", "5"] + flags) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("n,q", [(3, 1000), (30, 1), (7, 4)])
     def test_invalid_q_rejected_above_cap(self, n, q, capsys):

@@ -24,6 +24,7 @@ from lgplucker import (
     row_weight_law,
     split_free_pairs,
     vanishing_space,
+    wedge,
 )
 from conftest import bmatrix, enumerated_points
 
@@ -245,3 +246,11 @@ class TestScalarTypes:
         ]
         for values in outputs:
             assert values and all(type(x) is scalar for x in values), values
+
+    def test_rational_wedge_gives_fractions(self):
+        # the QQ wedge runs on integers; every coordinate it returns is a Fraction
+        rows = [[Fraction(1, 3), 0, -2, Fraction(5, 10**12)], [0, Fraction(-7, 2), 1, 4]]
+        points = [wedge(rows, 2, QQ), wedge(rows[:1], 2, QQ), plucker_vector(random_lagrangian(5, QQ, seed=3))]
+        for w in points:
+            values = list(w.coords.values()) + coordinate_vector(w) + arranged_coordinates(w)
+            assert values and all(type(x) is Fraction for x in values), values

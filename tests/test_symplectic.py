@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -33,6 +34,7 @@ from lgplucker import (
     wedge,
 )
 from lgplucker.combinatorics import validate_index_tuple
+from lgplucker import symplectic
 from lgplucker.symplectic import coordinates, failing_plucker_relation, laplace_table, plucker_relation_table
 from conftest import enumerated_bases, enumerated_points
 
@@ -202,6 +204,57 @@ class TestWedgeAgainstLiteral:
             rows[-1] = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(2 * n)]
         assert wedge(rows, n, field) == literal_wedge(rows, n, field)
 
+    @given(st.data())
+    def test_rational_matrices(self, data):
+        n = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(0, 2 * n))
+        big = st.integers(-(10**12), 10**12)
+        entry = st.one_of(
+            st.just(0),
+            st.integers(-9, 9),
+            st.builds(Fraction, big, st.integers(1, 10**12)),
+            st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 7, 10**12])),
+        )
+        rows = []
+        for _ in range(k):
+            kind = data.draw(st.sampled_from(["drawn", "zero", "negated"]))
+            if kind == "zero":
+                rows.append([0] * (2 * n))
+            else:
+                row = data.draw(st.lists(entry, min_size=2 * n, max_size=2 * n))
+                rows.append([-Fraction(x) for x in row] if kind == "negated" else row)
+        if k >= 2 and data.draw(st.booleans()):
+            # make the last row a rational combination of the others
+            coeffs = data.draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+            rows[-1] = [sum(Fraction(c) * r[i] for c, r in zip(coeffs, rows)) for i in range(2 * n)]
+        w = wedge(rows, n, QQ)
+        assert w == literal_wedge(rows, n, QQ)
+        assert all(type(x) is Fraction for x in w.coords.values())
+        assert all(type(x) is Fraction for x in w.values.tolist())
+
+
+# sha256 of repr(plucker_vector(random_lagrangian(n, QQ, seed)))
+RATIONAL_POINT_SHA256 = {
+    (5, 0): "1027470387d36c1bf1a29b3134043a9dd5fe902dc76907b53355ff8345061b6b",
+    (5, 1): "54f5d369868182fdd4d1b5d0906b22495b78302af34a8a3fbeb0e137c1be154c",
+    (5, 2): "2b020f0fae62aee60f8afe1a8ba44d64a04c5f0270f48a97c168bf11cad3390f",
+    (5, 3): "bfa3edf82e4cd16a7be6eb09f8cc0e580b3fc745099054ce29df81ffe8327ae7",
+    (5, 4): "8bae091498133c63e156f74378b77fb2c8cbcd192beb9a8d2e93ecf5332c1657",
+    (5, 5): "8c00145690c9ffba997b800007e092b206fb80c079b1f83fcd75ed3cd2b9c995",
+    (6, 0): "d848eaf7f17a63996d4ffdf6566583937025f0f732f06e99b51c4a057886b119",
+    (6, 1): "6d0bef9f143abd500af07119a605d72a03a8c6fd9dff9f51958eedbfc3fcb271",
+    (6, 2): "853ee7ba7260f9bcf5c0ad35fee1a704900a9d0a874e929faa74439ee8fe5cf7",
+    (6, 3): "cf57ad1dda29e933b36ad0ae8f742512bdaf9ea9140f42c301cd330c38b5e3c2",
+    (6, 4): "f1bf23d4d84e2ff16b930417b1d78cf9a090a855c0bf5bc2dfff85f72d2fd7f6",
+    (6, 5): "67951c33b37c1f78a801dbf453f5470927f2b648a2031f3a23a48255702f590e",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(RATIONAL_POINT_SHA256))
+def test_rational_point_pinned(n, seed):
+    w = plucker_vector(random_lagrangian(n, QQ, seed))
+    assert hashlib.sha256(repr(w).encode("utf-8")).hexdigest() == RATIONAL_POINT_SHA256[n, seed]
+
 
 class TestContract:
     def test_single_pair(self):
@@ -319,6 +372,11 @@ class TestRandomLagrangian:
     def test_deterministic(self):
         assert random_lagrangian(3, GF(5), 7) == random_lagrangian(3, GF(5), 7)
 
+    def test_non_isotropic_result_raises(self, monkeypatch):
+        monkeypatch.setattr(symplectic, "is_isotropic", lambda basis: False)
+        with pytest.raises(ArithmeticError, match=r"n=3, seed=5"):
+            random_lagrangian(3, QQ, seed=5)
+
     def test_pinned_draws(self):
         assert random_lagrangian(3, QQ, seed=4).rows == (
             (-2, 0, -6, 3, 6, -5),
@@ -351,7 +409,39 @@ def rref_isotropic_bases(n, q):
     return found
 
 
+def literal_lagrangian_subspaces(n, q):
+    """The enumeration written point by point: each cell's rows built
+    from scratch and handed to the validating constructor."""
+    field = GF(q)
+    last = 2 * n - 1
+    for pivots in combinations(range(2 * n), n):
+        if any(last - c in pivots for c in pivots):
+            continue
+        eps = [1 if c < n else -1 for c in pivots]
+        free = [(r, s) for r in range(n) for s in range(r, n) if pivots[r] + pivots[s] < last]
+        for values in product(range(q), repeat=len(free)):
+            rows = [[0] * (2 * n) for _ in range(n)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+            for (r, s), y in zip(free, values):
+                rows[r][last - pivots[s]] = eps[s] * y % q
+                rows[s][last - pivots[r]] = eps[r] * y % q
+            yield SubspaceBasis(n, field, rows)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)])
+    def test_matches_literal_enumeration(self, n, q):
+        field = GF(q)
+        got = list(lagrangian_subspaces(n, q))
+        want = list(literal_lagrangian_subspaces(n, q))
+        assert [lag.rows for lag in got] == [lag.rows for lag in want]
+        for lag in got:
+            assert lag.dim == n
+            assert all(type(v) is int and 0 <= v < q for row in lag.rows for v in row)
+            assert lag == SubspaceBasis(n, field, lag.rows)
+
+
     @pytest.mark.parametrize("n,q,expected", [(2, 2, 15), (2, 3, 40), (3, 2, 135)])
     def test_counts(self, n, q, expected):
         assert lagrangian_count(n, q) == expected
