@@ -14,9 +14,12 @@ complete pairs inside its support from the remaining free indices.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 IndexTuple = Tuple[int, ...]
 
@@ -45,14 +48,9 @@ def tuple_rank(t: IndexTuple, bound: int) -> int:
     """Position of t in the lexicographic order of index_tuples(len(t), bound)."""
     t = tuple(t)
     validate_index_tuple(t, bound)
-    k = len(t)
-    r = 0
-    prev = 0
-    for pos, c in enumerate(t):
-        for j in range(prev + 1, c):
-            r += comb(bound - j, k - pos - 1)
-        prev = c
-    return r
+    # the tuples after t: for each position q, those that agree with t
+    # before q and exceed t[q] there
+    return comb(bound, len(t)) - 1 - sum(comb(bound - c, len(t) - q) for q, c in enumerate(t))
 
 
 def tuple_unrank(r: int, length: int, bound: int) -> IndexTuple:
@@ -74,6 +72,21 @@ def tuple_unrank(r: int, length: int, bound: int) -> IndexTuple:
         out.append(c)
         c += 1
     return tuple(out)
+
+
+def tuple_array(tuples: Sequence[IndexTuple], length: int) -> np.ndarray:
+    """Index tuples, all of the given length, as the rows of an int64 array."""
+    flat = np.fromiter(chain.from_iterable(tuples), np.int64, count=len(tuples) * length)
+    return flat.reshape(len(tuples), length)
+
+
+@lru_cache(maxsize=None)
+def binomials(size: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b < size as an int64 table, for ranking tuple
+    arrays by the closed form of :func:`tuple_rank`; built once, read-only."""
+    table = np.array([[comb(a, b) for b in range(size)] for a in range(size)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def sorting_sign(word: Tuple[int, ...]) -> int:
@@ -126,6 +139,15 @@ def split_free_pairs(t: IndexTuple, n: int) -> FreePairSplit:
     paired = {x for p in pairs for x in p}
     free = tuple(x for x in t if x not in paired)
     return FreePairSplit(free, pairs)
+
+
+def paired_entries(tuples: np.ndarray, n: int) -> np.ndarray:
+    """split_free_pairs over the rows of an index-tuple array: True at each
+    entry whose complement 2n + 1 - x lies in the same row."""
+    rows = np.arange(len(tuples))[:, None]
+    member = np.zeros((len(tuples), 2 * n + 2), dtype=bool)
+    member[rows, tuples] = True
+    return member[rows, 2 * n + 1 - tuples]
 
 
 def row_partition(n: int) -> Dict[IndexTuple, List[IndexTuple]]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import List
 
+from .errors import PARSE_CAP
 from .linalg import BinaryMatrix, binary_matrix as matrix_data
 
 
@@ -52,12 +53,18 @@ def _line_ints(number: int, line: str, count: int) -> List[int]:
         raise ValueError(f"line {number}: non-integer token in {line!r}") from None
 
 
+def _declared(rows: int, cols: int) -> None:
+    if max(rows, cols) > PARSE_CAP:
+        raise ValueError(f"declared shape {rows}x{cols} exceeds the parse cap {PARSE_CAP}")
+
+
 def parse_coord(text: str) -> BinaryMatrix:
     # a blank line before the last entry fails as a line without its integers
     lines = text.rstrip().splitlines()
     if not lines:
         raise ValueError("empty coordinate file")
     rows, cols, nnz = _line_ints(1, lines[0], 3)
+    _declared(rows, cols)
     entries = []
     for number, ln in enumerate(lines[1:], 2):
         r, c = _line_ints(number, ln, 2)
@@ -175,6 +182,7 @@ def parse_json(text: str) -> BinaryMatrix:
         r, c = (_json_int(x, "entry index") for x in pair)
         entries.append((r - 1, c - 1))
     rows, cols, nnz = (_json_int(doc[key], key) for key in ("rows", "cols", "nnz"))
+    _declared(rows, cols)
     data = BinaryMatrix.from_entries(rows, cols, entries)
     if data.nnz != nnz:
         raise ValueError("nnz field disagrees with the entry list")

@@ -13,13 +13,14 @@ the relation rows are all there is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, split_free_pairs, validate_index_tuple
+from .combinatorics import IndexTuple, binomials, split_free_pairs, tuple_array, validate_index_tuple
 from .errors import BUILD_CAP, ResourceCapError
 from .fields import Field, QQ, Scalar
 from .symplectic import ExteriorVector, arranged_coordinates, coordinates
@@ -117,17 +118,28 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
     if n > BUILD_CAP:
         raise ResourceCapError(f"n = {n} exceeds the build cap {BUILD_CAP}")
     row_tuples = coordinates(n - 2, n).tuples
+    g = tuple_array(row_tuples, n - 2)
+    c = binomials(2 * n + 1)
+    ranks = np.empty((len(g), n), dtype=np.int64)
+    disjoint = np.empty((len(g), n), dtype=bool)
+    for i in range(1, n + 1):
+        ibar = 2 * n + 1 - i
+        # the column of gamma + {i, ibar} is its lexicographic rank (see
+        # combinatorics.binomials): an entry of gamma at position q moves to
+        # q + [g > i] + [g > ibar], i to #{g < i} and ibar to #{g < ibar} + 1
+        ranks[:, i - 1] = comb(2 * n, n) - 1 - (
+            c[2 * n - g, n - np.arange(n - 2) - (g > i) - (g > ibar)].sum(axis=1)
+            + c[2 * n - i, n - (g < i).sum(axis=1)]
+            + c[i - 1, n - 1 - (g < ibar).sum(axis=1)]
+        )
+        disjoint[:, i - 1] = ((g != i) & (g != ibar)).all(axis=1)
+    # gamma + {i, ibar} grows in lexicographic order with i, so each row
+    # lists its columns in increasing order; they are the int objects of
+    # the column table's position map, which B then shares
     cols = coordinates(n, n)
-    supports: List[Tuple[int, ...]] = []
-    for gamma in row_tuples:
-        support = set(gamma)
-        row = []
-        for i in range(1, n + 1):
-            ibar = 2 * n + 1 - i
-            if i in support or ibar in support:
-                continue
-            row.append(cols.position[tuple(sorted(gamma + (i, ibar)))])
-        supports.append(tuple(sorted(row)))
+    shared = list(cols.position.values())
+    flat = map(shared.__getitem__, ranks[disjoint])
+    supports = [tuple(islice(flat, w)) for w in disjoint.sum(axis=1).tolist()]
     return PlueckerMatrix(n, row_tuples, cols.tuples, supports)
 
 
@@ -155,9 +167,11 @@ def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[Line
         if w.n != n or w.grade != n or w.field != field:
             raise ValueError("points must share one grade-n space and field")
     table = coordinates(n, n)
-    a = np.stack([w.values for w in points]) * table.signs
+    a = np.stack([w.values for w in points])  # the one copy: twisted, and over GF(p) reduced, in place
+    a *= table.signs
     p = field.char
     if p:
+        a %= p
         basis = linalg.nullspace_mod(a, p).tolist()
     else:
         basis = linalg.nullspace(linalg.ExactMatrix.from_rows(a, field))

@@ -221,8 +221,8 @@ def binary_matrix(obj) -> BinaryMatrix:
 
 
 def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
-    a = a.copy() % p
+    """Reduced row echelon form over GF(p), computed in place on a, whose
+    entries must be residues in [0, p); returns (rref, pivot columns)."""
     nrows, ncols = a.shape
     pivot_cols: List[int] = []
     r = 0
@@ -236,9 +236,12 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
         a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        others = [i for i in np.nonzero(a[:, c])[0] if i != r]
-        if others:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        # a few thousand rows at a time, so no temporary is as large as a
+        for s in range(0, len(others), 1 << 12):
+            rows = others[s : s + (1 << 12)]
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
         pivot_cols.append(c)
         r += 1
     return a, pivot_cols
@@ -323,11 +326,11 @@ def _annihilates_mod(a: np.ndarray, basis: np.ndarray, p: int) -> bool:
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : a x = 0 mod p} as the rows of an int64 array.
 
-    One basis vector per non-pivot column of the reduced row echelon form,
-    in column order, each checked against every row of a.
+    The entries of a must be residues in [0, p); a is left as it is. One
+    basis vector per non-pivot column of the reduced row echelon form, in
+    column order, each checked against every row of a.
     """
-    a = a % p
-    rref, pivot_cols = _rref_mod(a, p)
+    rref, pivot_cols = _rref_mod(a.copy(), p)
     free = np.ones(a.shape[1], dtype=bool)
     free[pivot_cols] = False
     free = np.flatnonzero(free)

@@ -33,8 +33,10 @@ from . import linalg
 from .combinatorics import (
     IndexTuple,
     index_tuples,
+    paired_entries,
     sorting_sign,
     split_free_pairs,
+    tuple_array,
 )
 from .errors import ENUMERATION_CAP, ResourceCapError
 from .fields import Field, GF, Scalar
@@ -83,11 +85,16 @@ def coordinates(grade: int, n: int) -> Coordinates:
     """The coordinate table of grade ``grade`` over [1, 2n], built once;
     every dense coordinate array in the package is laid out in its order."""
     tuples = index_tuples(grade, 2 * n)
-    return Coordinates(
-        tuples,
-        {t: j for j, t in enumerate(tuples)},
-        np.array([pair_adjacent_sign(t, n) for t in tuples], dtype=np.int64),
-    )
+    arr = tuple_array(tuples, grade)
+    # pair_adjacent_sign on every row at once: sort a free index by its own
+    # value and a paired one after all of them, by its pair's low end, low
+    # before high (x + 2n * low does that); the sign is the parity of the
+    # keys' inversions
+    key = np.where(paired_entries(arr, n), arr + 2 * n * np.minimum(arr, 2 * n + 1 - arr), arr)
+    inversions = np.zeros(len(tuples), dtype=np.int64)
+    for a in range(grade - 1):
+        inversions += (key[:, a, None] > key[:, a + 1 :]).sum(axis=1)
+    return Coordinates(tuples, {t: j for j, t in enumerate(tuples)}, 1 - 2 * (inversions % 2))
 
 
 class ExteriorVector:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 from lgplucker import (
     GF,
     QQ,
+    Block,
     BlockEquivalenceError,
     DecompositionError,
     IncidenceMatrix,
@@ -21,6 +23,7 @@ from lgplucker import (
     split_free_pairs,
     verify_block_equiv,
 )
+from lgplucker.linalg import BinaryMatrix
 from conftest import bmatrix
 
 
@@ -341,6 +344,98 @@ class TestDirectSum:
     def test_n7_column_split(self):
         dec = decompose(bmatrix(7))
         assert (sum(len(blk.col_tuples) for blk in dec.blocks), len(dec.zero_columns)) == (3304, 128)
+
+
+def literal_decompose(b):
+    """decompose one class at a time: claim the columns each class
+    touches, in first-seen order of the free parts, then run
+    verify_block_equiv on its block. Returns (blocks, zero columns)."""
+    n = b.n
+
+    def lows(t):
+        return tuple(p.low for p in split_free_pairs(t, n).pairs)
+
+    classes = {}
+    for i, t in enumerate(b.row_tuples):
+        classes.setdefault(split_free_pairs(t, n).free, []).append(i)
+    owner = [None] * len(b.col_tuples)
+    blocks = []
+    for free, rows_idx in classes.items():
+        m = n - len(free)
+        col_idx = sorted({j for i in rows_idx for j in b.row_supports[i]})
+        for j in col_idx:
+            if owner[j] is not None:
+                raise DecompositionError(
+                    f"column {b.col_tuples[j]} is claimed by the blocks of free parts {owner[j]} and {free}"
+                )
+            owner[j] = free
+        col_pos = {j: k for k, j in enumerate(col_idx)}
+        mat = IncidenceMatrix(
+            m,
+            BinaryMatrix(len(rows_idx), len(col_idx), [[col_pos[j] for j in b.row_supports[i]] for i in rows_idx]),
+            tuple(lows(b.row_tuples[i]) for i in rows_idx),
+            tuple(lows(b.col_tuples[j]) for j in col_idx),
+        )
+        row_perm, col_perm = verify_block_equiv(mat, incidence_matrix(m))
+        blocks.append(
+            Block(free, m, tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx),
+                  mat, row_perm, col_perm)
+        )
+    zero = []
+    for j, t in enumerate(b.col_tuples):
+        if owner[j] is None:
+            if lows(t):
+                raise DecompositionError(f"uncovered column {t} contains a complete pair")
+            zero.append(t)
+    covered = sum(len(blk.col_tuples) for blk in blocks)
+    if covered + len(zero) != comb(2 * n, n):
+        raise DecompositionError(f"{covered} block columns and {len(zero)} zero columns, expected {comb(2 * n, n)} in all")
+    return blocks, tuple(zero)
+
+
+def outcome(decomposer, b):
+    """What a decomposition gives: its blocks and zero columns, or the
+    type and message of the error it raises."""
+    try:
+        dec = decomposer(b)
+    except DecompositionError as exc:
+        return type(exc), str(exc)
+    return dec if isinstance(dec, tuple) else (dec.blocks, dec.zero_columns)
+
+
+class TestArrayDecomposition:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_the_block_by_block_oracle(self, n):
+        assert outcome(decompose, bmatrix(n)) == outcome(literal_decompose, bmatrix(n))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("change", ["add", "drop", "move"])
+    def test_corrupted_row_fails_as_the_oracle_does(self, n, change):
+        # one entry added, dropped or moved in one row at a time; the
+        # error type and message must be those of the block-by-block run
+        b = bmatrix(n)
+        rng = random.Random(f"{n}-{change}")
+        kinds = set()
+        for i, support in enumerate(b.row_supports):
+            row = set(support)
+            if change in ("drop", "move"):
+                row.discard(rng.choice(support))
+            if change in ("add", "move"):
+                row.add(rng.choice([j for j in range(b.cols) if j not in support]))
+            bad = corrupted(b, supports=b.row_supports[:i] + (tuple(sorted(row)),) + b.row_supports[i + 1 :])
+            got = outcome(decompose, bad)
+            assert got == outcome(literal_decompose, bad), (i, got)
+            kinds.add(got[1].split()[0])
+        # the corruptions reach more than one of the checks
+        assert len(kinds) >= 2, kinds
+
+    def test_census_and_rank_build_no_blocks(self):
+        dec = decompose(bmatrix(7))
+        assert dec.census() == {"L4": 14, "L3": 280, "L2": 672}
+        assert dec.rank(QQ) == comb(14, 5)
+        assert "blocks" not in vars(dec)
+        assert len(dec.blocks) == sum(dec.counts.values()) == 966
+        assert dec.blocks is dec.blocks
 
 
 def wilson_rank(m, p):

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from lgplucker import blocks, build_plucker_matrix
 from lgplucker.cli import main
 from lgplucker.formats import parse_alist, parse_coord, matrix_data
 from conftest import bmatrix
@@ -100,6 +102,29 @@ class TestDecompose:
 
     def test_cap(self):
         assert main(["decompose", "--n", "7"]) == 3
+
+    def test_regularity_checked_once_per_atlas_member(self, capsys, monkeypatch):
+        seen = []
+        check = blocks.check_regularity
+        monkeypatch.setattr(blocks, "check_regularity", lambda mat: seen.append(mat.m) or check(mat))
+        assert main(["decompose", "--n", "6"]) == 0
+        assert sorted(seen) == [2, 4, 6]
+        assert "regularity: all 301 blocks pass" in capsys.readouterr().out
+
+    def test_irregular_member_names_each_of_its_blocks(self, capsys, monkeypatch):
+        # were L(4) irregular, every block copied from it would be too
+        check = blocks.check_regularity
+
+        def fail_l4(mat):
+            report = check(mat)
+            return dataclasses.replace(report, failures=("forced",)) if mat.m == 4 else report
+
+        monkeypatch.setattr(blocks, "check_regularity", fail_l4)
+        assert main(["decompose", "--n", "5"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        frees = [blk.free for blk in blocks.decompose(build_plucker_matrix(5)).blocks if blk.m == 4]
+        assert lines[1:-1] == [f"FAIL block free={free}: forced" for free in frees]
+        assert len(frees) == 10 and lines[-1].startswith("NOTE")
 
     @pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
     def test_report_bytes_pinned(self, n, capsys):

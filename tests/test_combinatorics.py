@@ -3,6 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from lgplucker.combinatorics import binomials, paired_entries, tuple_array
 from lgplucker import (
     FreePairSplit,
     Pair,
@@ -132,6 +133,24 @@ class TestFreePairSplit:
             label = split_free_pairs(t, 4)
             assert label not in seen
             seen[label] = t
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 2), (3, 3), (4, 2), (5, 5)])
+    def test_paired_entries_match_split_free_pairs(self, n, k):
+        tuples = index_tuples(k, 2 * n)
+        arr = tuple_array(tuples, k)
+        assert arr.shape == (len(tuples), k) and arr.tolist() == [list(t) for t in tuples]
+        for t, row in zip(tuples, paired_entries(arr, n).tolist()):
+            paired = {x for p in split_free_pairs(t, n).pairs for x in p}
+            assert row == [x in paired for x in t]
+
+    def test_binomials_rank_like_tuple_rank(self):
+        table = binomials(11)
+        assert table.tolist() == [[comb(a, b) for b in range(11)] for a in range(11)]
+        for t in index_tuples(4, 10):
+            closed = table[10, 4] - 1 - sum(table[10 - c, 4 - q] for q, c in enumerate(t))
+            assert closed == tuple_rank(t, 10)
 
 
 class TestRowPartition:

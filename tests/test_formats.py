@@ -101,6 +101,15 @@ class TestCoord:
         with pytest.raises(ValueError, match="line 3"):
             parse_coord("2 2 2\n1 1\n\n2 2\n")
 
+    @pytest.mark.parametrize("header", ["1000000000 1 0", "1 1000000000 0"])
+    def test_declared_shape_above_the_cap_rejected(self, header):
+        # rejected before a support is made for any declared row
+        with pytest.raises(ValueError, match="exceeds the parse cap 1000000"):
+            parse_coord(header + "\n")
+
+    def test_declared_shape_at_the_cap_accepted(self):
+        assert parse_coord("1000000 1 0\n").shape == (1000000, 1)
+
 
 class TestAlist:
     def test_l4_header_and_weights(self):
@@ -227,6 +236,10 @@ class TestJson:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unexpected keys \\['comment'\\]"):
             parse_json('{"rows": 1, "cols": 2, "nnz": 1, "entries": [[1, 2]], "comment": "x"}')
+
+    def test_declared_shape_above_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="declared shape 1000000000x2 exceeds the parse cap"):
+            parse_json('{"rows": 1000000000, "cols": 2, "nnz": 0, "entries": []}')
 
     @pytest.mark.parametrize("text", ["5", "null"])
     def test_top_level_not_an_object_rejected(self, text):

@@ -75,11 +75,24 @@ class TestNullspace:
         p = 2147483647
         rng = random.Random(3)
         rows = [[rng.randrange(p) for _ in range(20)] for _ in range(10)]
-        basis = nullspace_mod(np.array(rows, dtype=np.int64), p)
+        a = np.array(rows, dtype=np.int64)
+        basis = nullspace_mod(a, p)
+        assert a.tolist() == rows  # eliminated on a copy
         assert basis.shape == (10, 20)
         assert ((np.array(rows, dtype=np.int64) @ basis.T) % p).any()
         for x in basis.tolist():
             assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
+
+    def test_tall_matrix_eliminated_in_slices(self):
+        # more rows meet each pivot column than one slice of the row update
+        # holds; the row space, and so the basis, is that of the three rows
+        rng = random.Random(7)
+        base = [[rng.randrange(5) for _ in range(6)] for _ in range(3)]
+        coefs = [[rng.randrange(5) for _ in range(3)] for _ in range(9000)]
+        rows = [[sum(c * b[j] for c, b in zip(coef, base)) % 5 for j in range(6)] for coef in coefs]
+        basis = nullspace_mod(np.array(rows, dtype=np.int64), 5)
+        assert basis.shape == (3, 6)
+        assert basis.tolist() == nullspace_mod(np.array(base, dtype=np.int64), 5).tolist()
 
     def test_kernel_is_contraction_kernel(self):
         # nullspace vectors, read as pair-adjacent coordinates, have zero

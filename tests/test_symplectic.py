@@ -718,9 +718,11 @@ def typed(coords):
 
 
 class TestDenseCarrier:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_coordinate_table(self, n):
-        for k in range(2 * n + 1):
+        # the array signs against pair_adjacent_sign, tuple by tuple; past
+        # n = 5 on the grades of the relation matrix's rows and columns
+        for k in range(2 * n + 1) if n <= 5 else (n - 2, n):
             table = coordinates(k, n)
             assert table is coordinates(k, n)
             assert table.tuples == index_tuples(k, 2 * n)
