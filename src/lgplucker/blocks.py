@@ -20,9 +20,9 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from math import comb
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -209,19 +209,19 @@ class BlockDecomposition:
     ``references`` maps each m that occurs to the atlas member L(m) its
     blocks were checked against, and ``counts`` maps it to the number of
     those blocks. ``blocks`` lists them in first-seen order of their free
-    parts; it is built when first read, as the census and the rank need
-    only the counts.
+    parts; it is built from ``matrix`` when first read, as the census and
+    the rank need only the counts.
     """
 
     n: int
     zero_columns: Tuple[IndexTuple, ...]
     references: Dict[int, IncidenceMatrix]
     counts: Dict[int, int]
-    build_blocks: Callable[[], List[Block]] = dataclass_field(repr=False, compare=False)
+    matrix: PlueckerMatrix = dataclass_field(repr=False, compare=False)
 
     @cached_property
     def blocks(self) -> List[Block]:
-        return self.build_blocks()
+        return list(_class_blocks(self.matrix, self.references))
 
     def census(self) -> Dict[str, int]:
         """Multiplicity of each atlas label, largest first."""
@@ -239,16 +239,48 @@ class BlockDecomposition:
         return sum(c * linalg.rank(self.references[m].to_exact(field)) for m, c in self.counts.items())
 
 
-def _bitmasks(tuples: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """The bitmask of the entries of each row of tuples where sel holds."""
-    out = np.zeros(len(tuples), dtype=np.int64)
-    for q in range(tuples.shape[1]):  # a column at a time, to keep temporaries small
-        out += np.where(sel[:, q], 1 << tuples[:, q], 0)
-    return out
+def _class_blocks(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> Iterator[Block]:
+    """The blocks of b one class of rows at a time, in first-seen order of
+    their free parts, each checked by verify_block_equiv against
+    references[m] (added when missing). Raises DecompositionError at the
+    first column claimed by two classes or the first block that fails."""
+    n = b.n
+    classes: Dict[IndexTuple, List[int]] = {}
+    shared: Dict[PairTuple, PairTuple] = {}  # one tuple per distinct label, for all the blocks
 
+    def label(t: IndexTuple, paired: List[bool]) -> PairTuple:
+        lows = tuple([x for x, p in zip(t, paired) if p and x <= n])
+        return shared.setdefault(lows, lows)
 
-def _pick(seq, idx: List[int]) -> tuple:
-    return tuple(map(seq.__getitem__, idx))
+    row_paired = paired_entries(tuple_array(b.row_tuples, n - 2), n).tolist()
+    for i, (t, pt) in enumerate(zip(b.row_tuples, row_paired)):
+        classes.setdefault(tuple([x for x, p in zip(t, pt) if not p]), []).append(i)
+    row_labels = list(map(label, b.row_tuples, row_paired))
+    del row_paired
+    col_labels = list(map(label, b.col_tuples, paired_entries(tuple_array(b.col_tuples, n), n).tolist()))
+    owner: List[IndexTuple | None] = [None] * len(b.col_tuples)
+    for free, rows_idx in classes.items():
+        m = n - len(free)
+        if m not in references:
+            references[m] = incidence_matrix(m)
+        col_idx = sorted({j for i in rows_idx for j in b.row_supports[i]})
+        for j in col_idx:
+            if owner[j] is not None:
+                raise DecompositionError(
+                    f"column {b.col_tuples[j]} is claimed by the blocks of free parts {owner[j]} and {free}"
+                )
+            owner[j] = free
+        col_pos = {j: k for k, j in enumerate(col_idx)}
+        supports = [[col_pos[j] for j in b.row_supports[i]] for i in rows_idx]
+        mat = IncidenceMatrix(
+            m,
+            linalg.BinaryMatrix(len(rows_idx), len(col_idx), supports),
+            tuple(row_labels[i] for i in rows_idx),
+            tuple(col_labels[j] for j in col_idx),
+        )
+        row_perm, col_perm = verify_block_equiv(mat, references[m])
+        row_tuples, col_tuples = tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx)
+        yield Block(free, m, row_tuples, col_tuples, mat, row_perm, col_perm)
 
 
 def decompose(b: PlueckerMatrix) -> BlockDecomposition:
@@ -262,119 +294,82 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     plus the zero columns must add up to C(2n, n): B is then the direct
     sum of its blocks and the zero columns.
 
-    The checks run on int arrays over all classes at once and accept
-    exactly what ``verify_block_equiv`` accepts on each block, whose row
-    and column permutations are the lexicographic ranks of the renumbered
-    labels. The first class that fails is built as a block and handed to
+    The checks run on int arrays over all classes at once; should one
+    fail, the classes are gone through one by one with
     ``verify_block_equiv``, which names the witness.
     """
     n = b.n
     rows, cols = tuple_array(b.row_tuples, n - 2), tuple_array(b.col_tuples, n)
     row_paired = paired_entries(rows, n)
     row_low, col_low = row_paired & (rows <= n), paired_entries(cols, n) & (cols <= n)
-    row_lows, col_lows = _bitmasks(rows, row_low), _bitmasks(cols, col_low)
     classes: Dict[int, int] = {}  # free-part bitmask -> class, in first-seen order
-    cls = np.array([classes.setdefault(f, len(classes)) for f in _bitmasks(rows, ~row_paired).tolist()])
-    k_all = len(classes)  # one more class, k_all (with m = 2), collects the unowned columns
-    m = np.array([n - f.bit_count() for f in classes] + [2])
+    free_masks = np.where(row_paired, 0, 1 << rows).sum(axis=1).tolist()
+    cls = np.array([classes.setdefault(f, len(classes)) for f in free_masks], dtype=np.int64)
+    # one more class, k_all, takes the columns no row touches; its m = 2n
+    # keeps their (unread) ranks inside the binomial table
+    k_all = len(classes)
+    m = np.array([n - f.bit_count() for f in classes] + [2 * n])
     half = m >> 1
     counts = dict(Counter(m[:k_all].tolist()))
     references = {mm: incidence_matrix(mm) for mm in counts}
 
-    # one scatter and gather find the columns touched by two classes; a
-    # column belongs to the first class touching it, a later one is a
-    # second claimant
+    # a column belongs to the class whose rows touch it; an entry of
+    # another class in it is a second claimant
     weights = np.fromiter(map(len, b.row_supports), np.int64, count=len(b.row_supports))
     e_col = np.fromiter(chain.from_iterable(b.row_supports), np.int64, count=int(weights.sum()))
-    e_row = np.repeat(np.arange(len(weights)), weights)
-    e_cls = cls[e_row]
+    e_row = np.repeat(np.arange(len(cls)), weights)
     owner = np.full(len(cols), k_all)
-    owner[e_col] = e_cls
-    late = owner[e_col] != e_cls
-    if late.any():
-        np.minimum.at(owner, e_col, e_cls)
-        late = e_cls > owner[e_col]
-
+    owner[e_col] = cls[e_row]
+    own = owner < k_all
     # the pair lows of class k renumber onto 1..m: low x becomes ren[k, x],
     # the number of lows of its columns up to x
     lows = np.zeros((k_all + 1, 2 * n + 1), dtype=bool)
     for q in range(n):
         lows[owner, np.where(col_low[:, q], cols[:, q], 0)] = True
     lows[:, 0] = False
-    ren = lows.cumsum(axis=1)
     table = binomials(2 * n + 2)
-
-    def ranks(arr, low, k, size):
-        # tuple_rank's closed form on the renumbered labels, one position at a time
-        out, left = table[m[k], size[k]] - 1, size[k] + 1
-        for q in range(arr.shape[1]):
-            left = left - low[:, q]
-            out -= np.where(low[:, q], table[m[k] - ren[k, arr[:, q]], left], 0)
-        return out
-
-    row_rank, col_rank = ranks(rows, row_low, cls, half - 1), ranks(cols, col_low, owner, half)
-
     # verify_block_equiv's checks: the shape, m pairs, the row pairs among
-    # them, m/2 pairs in each column label ...
-    fail = np.bincount(cls, minlength=k_all + 1) != table[m, half - 1]
-    fail |= (np.bincount(owner, minlength=k_all + 1) != table[m, half]) | (lows.sum(axis=1) != m)
-    fail[cls[(row_low & ~lows[cls[:, None], rows]).any(axis=1)]] = True
-    fail[owner[col_low.sum(axis=1) != half[owner]]] = True
-    fail[k_all] = True
-    # ... no two columns of a class with one label ...
-    checked = ~fail[owner]
-    slot = np.concatenate(([0], np.cumsum(table[m, half])))[owner] + col_rank
-    slot[~checked] = -1
-    fail[owner[checked & (np.bincount(slot + 1)[slot + 1] > 1)]] = True
-    # ... and each row as many ones as its reference row, all at its ones
-    fail[cls[weights != half[cls] + 1]] = True
-    for mm, ref in references.items():
-        sel = ~fail[e_cls] & ~late & (m[e_cls] == mm)
-        fail[e_cls[sel][~ref.bits.astype(bool)[row_rank[e_row[sel]], col_rank[e_col[sel]]]]] = True
+    # them, m/2 pairs per column label, r ones per row ...
+    fits = (
+        (owner[e_col] == cls[e_row]).all()
+        and (np.bincount(cls, minlength=k_all + 1) == table[m, half - 1])[:k_all].all()
+        and (np.bincount(owner, minlength=k_all + 1) == table[m, half])[:k_all].all()
+        and (lows.sum(axis=1) == m)[:k_all].all()
+        and (lows[cls[:, None], rows] | ~row_low).all()
+        and ((col_low.sum(axis=1) == half[owner]) | ~own).all()
+        and (weights == half[cls] + 1).all()
+    )
+    if fits:
+        ren = lows.cumsum(axis=1)
 
-    def members(masks: List[int]) -> List[IndexTuple]:
-        known = {f: tuple(x for x in range(1, 2 * n + 1) if f >> x & 1) for f in set(masks)}
-        return [known[f] for f in masks]
+        def ranks(arr, low, k, size):
+            # tuple_rank's closed form on the renumbered labels, one position at a time
+            out, left = table[m[k], size] - 1, size + 1
+            for q in range(arr.shape[1]):
+                left = left - low[:, q]
+                out -= np.where(low[:, q], table[m[k] - ren[k, arr[:, q]], left], 0)
+            return out
 
-    def iter_blocks() -> Iterator[Block]:
-        groups: List[Tuple[List[int], List[int]]] = [([], []) for _ in range(k_all + 1)]
-        for side, group in enumerate((cls, owner)):
-            for i, k in enumerate(group.tolist()):
-                groups[k][side].append(i)
-        row_labels, col_labels = members(row_lows.tolist()), members(col_lows.tolist())
-        row_perm, col_perm = row_rank.tolist(), col_rank.tolist()
-        for free, (rows_idx, col_idx) in zip(members(list(classes)), groups):
-            col_pos = {j: c for c, j in enumerate(col_idx)}
-            supports = [[col_pos[j] for j in b.row_supports[i]] for i in rows_idx]
-            matrix = IncidenceMatrix(
-                n - len(free),
-                linalg.BinaryMatrix(len(rows_idx), len(col_idx), supports),
-                _pick(row_labels, rows_idx),
-                _pick(col_labels, col_idx),
-            )
-            yield Block(free, matrix.m, _pick(b.row_tuples, rows_idx), _pick(b.col_tuples, col_idx),
-                        matrix, _pick(row_perm, rows_idx), _pick(col_perm, col_idx))
-
-    k_late = int(e_cls[late].min()) if late.any() else k_all
-    failing = np.flatnonzero(fail[:k_late])
-    if failing.size:
-        # every class before k_late owns all the columns it touches
-        blk = next(islice(iter_blocks(), int(failing[0]), None))
-        verify_block_equiv(blk.matrix, references[blk.m])
-        raise DecompositionError(f"the block of free part {blk.free} passes verify_block_equiv only")
-    if k_late < k_all:
-        j = int(e_col[late & (e_cls == k_late)].min())
-        frees = members(list(classes))
-        raise DecompositionError(
-            f"column {b.col_tuples[j]} is claimed by the blocks of free parts {frees[owner[j]]} and {frees[k_late]}"
+        row_rank, col_rank = ranks(rows, row_low, cls, half[cls] - 1), ranks(cols, col_low, owner, half[owner])
+        # ... no two columns of a class with one label ...
+        width = table[m[:k_all], half[:k_all]]
+        seen = np.zeros(int(width.sum()), dtype=bool)
+        seen[(np.cumsum(width) - width)[owner[own]] + col_rank[own]] = True
+        # ... and each one of B at a one of the reference
+        e_m = m[cls[e_row]]
+        fits = seen.all() and all(
+            ref.bits[row_rank[e_row[e_m == mm]], col_rank[e_col[e_m == mm]]].all() for mm, ref in references.items()
         )
-    uncovered = owner == k_all
-    stray = np.flatnonzero(uncovered & (col_lows != 0))
+    if not fits:
+        for _ in _class_blocks(b, {}):  # raises at the first class that fails
+            pass
+    uncovered = ~own
+    stray = np.flatnonzero(uncovered & col_low.any(axis=1))
     if stray.size:
         raise DecompositionError(f"uncovered column {b.col_tuples[stray[0]]} contains a complete pair")
-    zero_cols = _pick(b.col_tuples, np.flatnonzero(uncovered).tolist())
+    zero_cols = tuple(b.col_tuples[j] for j in np.flatnonzero(uncovered).tolist())
     if len(cols) != comb(2 * n, n):
         raise DecompositionError(
             f"{len(cols) - len(zero_cols)} block columns and {len(zero_cols)} zero columns, expected {comb(2 * n, n)} in all"
         )
-    return BlockDecomposition(n, zero_cols, references, counts, lambda: list(iter_blocks()))
+    return BlockDecomposition(n, zero_cols, references, counts, b)

@@ -106,16 +106,13 @@ def cmd_decompose(args) -> int:
     parts.append(f"zero-cols {len(dec.zero_columns)}")
     print(", ".join(parts))
     # each block is its atlas member up to row and column permutations,
-    # which keep regularity, so the blocks are checked one by one only
-    # under a member that fails, to name their own rows and columns
-    irregular = {m for m, ref in dec.references.items() if not blocks.check_regularity(ref).ok}
+    # which keep regularity, so each member is checked once for its blocks
     bad = 0
-    for blk in dec.blocks if irregular else ():
-        report = blocks.check_regularity(blk.matrix)
-        if not report.ok:
-            bad += 1
-            for failure in report.failures:
-                print(f"FAIL block free={blk.free}: {failure}")
+    for m in sorted(dec.counts, reverse=True):
+        report = blocks.check_regularity(dec.references[m])
+        bad += not report.ok
+        for failure in report.failures:
+            print(f"FAIL L{blocks.r_value(m)} ({dec.counts[m]} blocks): {failure}")
     if bad == 0:
         detail = ", ".join(
             f"L{blocks.r_value(m)}: rows {blocks.r_value(m)}, cols {blocks.r_value(m) - 1}, overlap <= 1"

@@ -14,7 +14,6 @@ complete pairs inside its support from the remaining free indices.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -80,13 +79,10 @@ def tuple_array(tuples: Sequence[IndexTuple], length: int) -> np.ndarray:
     return flat.reshape(len(tuples), length)
 
 
-@lru_cache(maxsize=None)
 def binomials(size: int) -> np.ndarray:
     """C(a, b) for 0 <= a, b < size as an int64 table, for ranking tuple
-    arrays by the closed form of :func:`tuple_rank`; built once, read-only."""
-    table = np.array([[comb(a, b) for b in range(size)] for a in range(size)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
+    arrays by the closed form of :func:`tuple_rank`."""
+    return np.array([[comb(a, b) for b in range(size)] for a in range(size)], dtype=np.int64)
 
 
 def sorting_sign(word: Tuple[int, ...]) -> int:
@@ -144,10 +140,14 @@ def split_free_pairs(t: IndexTuple, n: int) -> FreePairSplit:
 def paired_entries(tuples: np.ndarray, n: int) -> np.ndarray:
     """split_free_pairs over the rows of an index-tuple array: True at each
     entry whose complement 2n + 1 - x lies in the same row."""
-    rows = np.arange(len(tuples))[:, None]
+    rows = np.arange(len(tuples))
     member = np.zeros((len(tuples), 2 * n + 2), dtype=bool)
-    member[rows, tuples] = True
-    return member[rows, 2 * n + 1 - tuples]
+    out = np.empty(tuples.shape, dtype=bool)
+    for col in tuples.T:  # a position at a time, to keep temporaries small
+        member[rows, col] = True
+    for q, col in enumerate(tuples.T):
+        out[:, q] = member[rows, 2 * n + 1 - col]
+    return out
 
 
 def row_partition(n: int) -> Dict[IndexTuple, List[IndexTuple]]:

@@ -326,10 +326,13 @@ def _annihilates_mod(a: np.ndarray, basis: np.ndarray, p: int) -> bool:
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : a x = 0 mod p} as the rows of an int64 array.
 
-    The entries of a must be residues in [0, p); a is left as it is. One
-    basis vector per non-pivot column of the reduced row echelon form, in
-    column order, each checked against every row of a.
+    The entries of a must be residues in [0, p) (a ValueError otherwise);
+    a is left as it is. One basis vector per non-pivot column of the
+    reduced row echelon form, in column order, each checked against every
+    row of a.
     """
+    if a.size and not 0 <= a.min() <= a.max() < p:
+        raise ValueError(f"entries must be residues in [0, {p})")
     rref, pivot_cols = _rref_mod(a.copy(), p)
     free = np.ones(a.shape[1], dtype=bool)
     free[pivot_cols] = False

@@ -90,7 +90,9 @@ def coordinates(grade: int, n: int) -> Coordinates:
     # value and a paired one after all of them, by its pair's low end, low
     # before high (x + 2n * low does that); the sign is the parity of the
     # keys' inversions
-    key = np.where(paired_entries(arr, n), arr + 2 * n * np.minimum(arr, 2 * n + 1 - arr), arr)
+    key = arr.copy()
+    for x, p, k in zip(arr.T, paired_entries(arr, n).T, key.T):  # a position at a time
+        k[p] += 2 * n * np.minimum(x, 2 * n + 1 - x)[p]
     inversions = np.zeros(len(tuples), dtype=np.int64)
     for a in range(grade - 1):
         inversions += (key[:, a, None] > key[:, a + 1 :]).sum(axis=1)

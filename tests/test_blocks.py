@@ -20,9 +20,11 @@ from lgplucker import (
     incidence_matrix,
     r_value,
     rank,
+    row_partition,
     split_free_pairs,
     verify_block_equiv,
 )
+import lgplucker.blocks
 from lgplucker.linalg import BinaryMatrix
 from conftest import bmatrix
 
@@ -428,6 +430,84 @@ class TestArrayDecomposition:
             kinds.add(got[1].split()[0])
         # the corruptions reach more than one of the checks
         assert len(kinds) >= 2, kinds
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_arrays_accept_b_without_the_oracle(self, n, monkeypatch):
+        # the class-by-class pass runs only when an array check fails
+        monkeypatch.setattr(lgplucker.blocks, "_class_blocks", None)
+        assert sum(decompose(bmatrix(n)).counts.values()) == len(row_partition(n))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_swapped_column_labels_fail_as_the_oracle_does(self, n):
+        # two column tuples trade places, so that a class sees labels of the
+        # wrong size, pairs it does not have, or a pair count other than m
+        b = bmatrix(n)
+        rng = random.Random(n)
+        kinds = set()
+        for _ in range(60):
+            j, k = rng.sample(range(b.cols), 2)
+            cols = list(b.col_tuples)
+            cols[j], cols[k] = cols[k], cols[j]
+            bad = corrupted(b, col_tuples=cols)
+            got = outcome(decompose, bad)
+            assert got == outcome(literal_decompose, bad), (j, k, got)
+            kinds.add(got[1].split()[0] if isinstance(got[1], str) else "ok")
+        assert len(kinds) >= 3, kinds
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_missing_row_fails_as_the_oracle_does(self, n):
+        # a class one row short still touches all its columns when m >= 4
+        b = bmatrix(n)
+        for i in range(0, b.rows, 3):
+            bad = PlueckerMatrix(n, b.row_tuples[:i] + b.row_tuples[i + 1 :], list(b.col_tuples),
+                                 b.row_supports[:i] + b.row_supports[i + 1 :])
+            assert outcome(decompose, bad) == outcome(literal_decompose, bad), i
+
+    def test_extra_column_in_a_class(self):
+        # a zero column of B(4) takes the tuple (1, 2, 7, 8), and the row
+        # (1, 8) moves its one there: every row still fits L(4), but the
+        # class of free part () has 7 columns
+        b = bmatrix(4)
+        j, z = b.col_tuples.index((1, 2, 7, 8)), b.col_tuples.index(next(iter(decompose(b).zero_columns)))
+        cols = list(b.col_tuples)
+        cols[z] = cols[j]
+        i = b.row_tuples.index((1, 8))
+        supports = list(b.row_supports)
+        supports[i] = tuple(sorted(z if c == j else c for c in supports[i]))
+        bad = corrupted(b, supports=supports, col_tuples=cols)
+        got = outcome(decompose, bad)
+        assert got == outcome(literal_decompose, bad)
+        assert got[0] is BlockEquivalenceError and got[1].startswith("shape mismatch: block (4, 7)")
+
+    def test_two_columns_with_one_label_in_a_class(self):
+        # In B(6) the classes with free parts F = (5, 6) and G = (5, 7) both
+        # sit on the pairs with lows 1..4. F takes G's columns labelled
+        # (1, 2) and (3, 4) for its own (1, 3) and (2, 4), G the reverse,
+        # and their rows are rewired so that each still has r = 3 ones, all
+        # at columns whose labels contain its own. Only the check that no
+        # two columns of a class share a label can tell.
+        b = bmatrix(6)
+        col = {t: j for j, t in enumerate(b.col_tuples)}
+        row = {t: i for i, t in enumerate(b.row_tuples)}
+
+        def tup(free, lows):
+            return tuple(sorted(free + lows + tuple(13 - x for x in lows)))
+
+        F, G = (5, 6), (5, 7)
+        wiring = {
+            F: {1: [(F, 1, 2), (G, 1, 2), (F, 1, 4)], 2: [(F, 1, 2), (G, 1, 2), (F, 2, 3)],
+                3: [(F, 3, 4), (G, 3, 4), (F, 2, 3)], 4: [(F, 3, 4), (G, 3, 4), (F, 1, 4)]},
+            G: {1: [(F, 1, 3), (G, 1, 3), (G, 1, 4)], 2: [(F, 2, 4), (G, 2, 4), (G, 2, 3)],
+                3: [(F, 1, 3), (G, 1, 3), (G, 2, 3)], 4: [(F, 2, 4), (G, 2, 4), (G, 1, 4)]},
+        }
+        supports = list(b.row_supports)
+        for free, rows in wiring.items():
+            for low, cols in rows.items():
+                supports[row[tup(free, (low,))]] = tuple(sorted(col[tup(owner, (a, c))] for owner, a, c in cols))
+        bad = corrupted(b, supports=supports)
+        got = outcome(decompose, bad)
+        assert got == outcome(literal_decompose, bad)
+        assert got == (BlockEquivalenceError, "two block columns carry the same label")
 
     def test_census_and_rank_build_no_blocks(self):
         dec = decompose(bmatrix(7))

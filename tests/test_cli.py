@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lgplucker import blocks, build_plucker_matrix
+from lgplucker import blocks
 from lgplucker.cli import main
 from lgplucker.formats import parse_alist, parse_coord, matrix_data
 from conftest import bmatrix
@@ -111,8 +111,7 @@ class TestDecompose:
         assert sorted(seen) == [2, 4, 6]
         assert "regularity: all 301 blocks pass" in capsys.readouterr().out
 
-    def test_irregular_member_names_each_of_its_blocks(self, capsys, monkeypatch):
-        # were L(4) irregular, every block copied from it would be too
+    def test_irregular_member_fails_once_for_its_blocks(self, capsys, monkeypatch):
         check = blocks.check_regularity
 
         def fail_l4(mat):
@@ -121,10 +120,7 @@ class TestDecompose:
 
         monkeypatch.setattr(blocks, "check_regularity", fail_l4)
         assert main(["decompose", "--n", "5"]) == 2
-        lines = capsys.readouterr().out.splitlines()
-        frees = [blk.free for blk in blocks.decompose(build_plucker_matrix(5)).blocks if blk.m == 4]
-        assert lines[1:-1] == [f"FAIL block free={free}: forced" for free in frees]
-        assert len(frees) == 10 and lines[-1].startswith("NOTE")
+        assert capsys.readouterr().out.splitlines()[1] == "FAIL L3 (10 blocks): forced"
 
     @pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
     def test_report_bytes_pinned(self, n, capsys):

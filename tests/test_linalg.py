@@ -83,6 +83,13 @@ class TestNullspace:
         for x in basis.tolist():
             assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
 
+    @pytest.mark.parametrize("entry", [-1, 5, 10])
+    def test_entries_outside_the_residues_rejected(self, entry):
+        # a multiple of p would be taken as a pivot, and large entries
+        # overflow the int64 row updates
+        with pytest.raises(ValueError, match="residues"):
+            nullspace_mod(np.array([[1, entry], [2, 3]], dtype=np.int64), 5)
+
     def test_tall_matrix_eliminated_in_slices(self):
         # more rows meet each pivot column than one slice of the row update
         # holds; the row space, and so the basis, is that of the three rows
