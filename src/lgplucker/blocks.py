@@ -54,10 +54,13 @@ class IncidenceMatrix(linalg.BinaryMatrix):
     __slots__ = ("m",)
 
     def __init__(self, m: int, matrix, row_labels: Tuple[PairTuple, ...], col_labels: Tuple[PairTuple, ...]):
-        """matrix is a BinaryMatrix or a two-dimensional 0/1 array."""
+        """matrix is a BinaryMatrix, whose supports were checked when it was
+        built and are taken as they are, or a two-dimensional 0/1 array,
+        checked here."""
         if not isinstance(matrix, linalg.BinaryMatrix):
             matrix = linalg.binary_matrix(matrix)
-        super().__init__(matrix.rows, matrix.cols, matrix.row_supports, row_labels, col_labels)
+        self.rows, self.cols, self.row_supports = matrix.rows, matrix.cols, matrix.row_supports
+        self.row_labels, self.col_labels = tuple(row_labels), tuple(col_labels)
         self.m = m
 
     @property

@@ -259,10 +259,10 @@ def cmd_rank(args) -> int:
 
 def cmd_count(args) -> int:
     formula = symplectic.lagrangian_count(args.n, args.q)
-    # the enumeration checks n and q before its cap, so a count above the
-    # cap still rejects an invalid n or q
+    # the cells check n and q before the cap and build nothing above it,
+    # so a count above the cap still rejects an invalid n or q
     try:
-        enumerated = sum(1 for _ in symplectic.lagrangian_subspaces(args.n, args.q))
+        enumerated = sum(len(cell) for cell in symplectic.lagrangian_cells(args.n, args.q))
     except ResourceCapError:
         enumerated = None
     lines = {"n": args.n, "q": args.q, "formula": formula, "enumerated": enumerated}

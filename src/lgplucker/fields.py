@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Iterator, Union
+from math import isqrt, lcm
+from typing import Iterator, List, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, int]
 
@@ -27,6 +27,13 @@ def is_prime(p: int) -> bool:
         if p % d == 0:
             return False
     return True
+
+
+def integer_numerators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over their least common
+    denominator d: returns (numerators, d)."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 class Field:

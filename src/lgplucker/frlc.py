@@ -5,6 +5,8 @@ the sum of the grade-n coordinates at gamma union each complementary pair
 disjoint from gamma. Its coefficients are all 1 against the pair-adjacent
 coordinate system (see :mod:`.symplectic`), so the full system is a 0/1
 matrix with rows indexed by the (n-2)-tuples and columns by the n-tuples.
+Applying it to a point is one gather over its row supports, independent
+of ``symplectic.contract``, so the two can check each other.
 ``vanishing_space`` inverts the viewpoint: given points it returns a basis
 of every functional vanishing on their span, the numerical witness that
 the relation rows are all there is.
@@ -13,6 +15,7 @@ the relation rows are all there is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from itertools import islice
 from math import comb
 from typing import Dict, List, Sequence, Tuple
@@ -70,11 +73,12 @@ class PlueckerMatrix(linalg.BinaryMatrix):
     complementary pair.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_padded")
 
     def __init__(self, n: int, row_tuples: List[IndexTuple], col_tuples: List[IndexTuple], row_supports: List[Tuple[int, ...]]):
         super().__init__(len(row_tuples), len(col_tuples), row_supports, row_tuples, col_tuples)
         self.n = n
+        self._padded = None
 
     # the labels are the index tuples; these names read the same slots
     row_tuples = linalg.BinaryMatrix.row_labels
@@ -86,14 +90,22 @@ class PlueckerMatrix(linalg.BinaryMatrix):
         Both sides of the twist are folded in: the column coordinates of w
         and the row coordinates of the output are read in the
         pair-adjacent system, which is exactly what keeps this matrix 0/1.
+        The row sums are one gather over the row supports, padded to the
+        widest row with a column past the last that reads 0, built on the
+        first call. Over QQ they run on the integer numerators of w over
+        their common denominator.
         """
         if w.n != self.n or w.grade != self.n:
             raise ValueError(f"expected a grade-{self.n} vector over 2n = {2 * self.n}")
+        if self._padded is None:
+            width = max(map(len, self.row_supports), default=0)
+            padded = [s + (self.cols,) * (width - len(s)) for s in self.row_supports]
+            self._padded = np.array(padded, dtype=np.intp).reshape(self.rows, width)
         p = w.field.char
-        x = arranged_coordinates(w)
-        row_signs = coordinates(self.n - 2, self.n).signs.tolist()
-        out = [sign * sum([x[j] for j in s], w.field.zero) for sign, s in zip(row_signs, self.row_supports)]
-        return [v % p for v in out] if p else out
+        x, d = w.numerators()
+        x = np.append(x * coordinates(self.n, self.n).signs, 0)
+        sums = x[self._padded].sum(axis=1) * coordinates(self.n - 2, self.n).signs
+        return (sums % p).tolist() if p else [Fraction(v, d) for v in sums.tolist()]
 
 
 def contraction_functional(gamma: IndexTuple, n: int, field: Field = QQ) -> LinearFunctional:

@@ -4,9 +4,14 @@ Two elimination back ends, both exact with no tolerances anywhere:
 
 * prime fields go through dense numpy row reduction on int64 residues
   (products of two reduced residues stay inside int64 for the allowed
-  moduli);
+  moduli); the nullspace of a tall matrix folds its rows into the
+  reduced row space a block at a time, and every matrix product mod p
+  goes through one overflow-safe helper, ``_matmul_mod``;
 * the rationals go through sparse forward elimination on dict-backed rows
   with Fraction arithmetic and shortest-row pivoting.
+
+A few short rows of Python ints, as in Lagrangian sampling, go through
+``int_echelon``: mod p, or fraction-free over the integers.
 
 The rank of the relation matrix itself (``rank_report``,
 ``embedding_rank``) comes from its verified block decomposition, so
@@ -18,13 +23,16 @@ or as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from operator import lt
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .fields import Field, GF, QQ, Scalar
+
+# rows of a tall matrix folded at once into its reduced row space
+_FOLD_ROWS = 256
 
 
 class ExactMatrix:
@@ -287,6 +295,38 @@ def _rref_sparse(rows: List[Dict[int, Scalar]], ncols: int, field: Field) -> Lis
     return pivots
 
 
+def int_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """Gauss-Jordan elimination of Python-int rows, mod p, or for p = 0
+    fraction-free over the integers: returns the nonzero reduced rows and
+    their pivot columns. Each reduced row is zero left of its pivot and in
+    the other rows' pivot columns; mod p its pivot is 1, over the integers
+    its entries are divided by their gcd after every step."""
+    rows = [list(r) for r in rows]
+    pivots: List[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        hit = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[k], rows[hit] = rows[hit], rows[k]
+        if p:
+            inv = pow(rows[k][c], -1, p)
+            rows[k] = [x * inv % p for x in rows[k]]
+        prow, g = rows[k], rows[k][c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == k or not f:
+                continue
+            new = [g * x - f * y for x, y in zip(row, prow)]
+            if p:
+                rows[i] = [x % p for x in new]
+            else:
+                div = gcd(*new) or 1
+                rows[i] = [x // div for x in new]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
 def rank(m: ExactMatrix) -> int:
     """Rank of m over its field (deterministic exact elimination)."""
     if m.field.char:
@@ -308,19 +348,66 @@ def independent_rows(m: ExactMatrix) -> List[int]:
     return [col for col, _ in _rref_sparse(t.rows, t.ncols, m.field)]
 
 
-def _annihilates_mod(a: np.ndarray, basis: np.ndarray, p: int) -> bool:
-    """Whether a @ x = 0 mod p for every row x of basis, exactly in int64.
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for residue matrices, exact in int64.
 
-    Entries are residues below p < 2^31. Each x is split into 16-bit
-    halves, so a product is below 2^47 and a dot product over a block of
-    2^15 columns stays below 2^62; the blocks are summed mod p.
+    Entries are residues below p < 2^31. When (p - 1)^2 times the inner
+    length stays below 2^63, one plain product is exact. Otherwise y is
+    split into 16-bit halves, so a product is below 2^47 and a dot
+    product over a block of 2^15 inner indices stays below 2^62; each
+    block is added into the result in place and reduced, so besides the
+    result one temporary of its shape is held.
     """
-    high, low = np.divmod(basis, 1 << 16)
-    acc = np.zeros((a.shape[0], basis.shape[0]), dtype=np.int64)
-    for s in range(0, a.shape[1], 1 << 15):
+    if (p - 1) ** 2 * x.shape[1] < 1 << 63:
+        out = x @ y
+        out %= p
+        return out
+    high, low = np.divmod(y, 1 << 16)
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    part = np.empty_like(out)
+    for s in range(0, x.shape[1], 1 << 15):
         block = slice(s, s + (1 << 15))
-        acc = (acc + (a[:, block] @ high[:, block].T % p << 16) + a[:, block] @ low[:, block].T) % p
-    return not acc.any()
+        np.matmul(x[:, block], high[block], out=part)
+        part %= p
+        part <<= 16
+        out += part
+        np.matmul(x[:, block], low[block], out=part)
+        out += part
+        out %= p
+    return out
+
+
+def _row_space_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The reduced row echelon form of the row space of a over GF(p): its
+    nonzero rows and their pivot columns; a is left as it is.
+
+    The rows of a are folded in blocks of ``_FOLD_ROWS`` into the reduced
+    basis so far. One product takes each block's entries in the basis
+    pivot columns out; only the rows left nonzero are eliminated, and
+    their new pivot columns are then taken out of the basis. The result
+    is the one reduced form of the row space, whatever the blocks.
+    """
+    basis = np.zeros((0, a.shape[1]), dtype=np.int64)
+    pivots: List[int] = []
+    for s in range(0, a.shape[0], _FOLD_ROWS):
+        block = a[s : s + _FOLD_ROWS].copy()
+        if pivots:
+            # the basis is the identity in its pivot columns
+            rest = np.delete(np.arange(a.shape[1]), pivots)
+            block[:, rest] = (block[:, rest] - _matmul_mod(block[:, pivots], basis[:, rest], p)) % p
+            block[:, pivots] = 0
+        block = block[block.any(axis=1)]
+        if not len(block):
+            continue
+        block, new = _rref_mod(block, p)
+        block = block[: len(new)]
+        if pivots:
+            basis -= _matmul_mod(basis[:, new], block, p)
+            basis %= p
+        order = np.argsort(pivots + new)
+        basis = np.concatenate([basis, block])[order]
+        pivots = sorted(pivots + new)
+    return basis, pivots
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -328,19 +415,19 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
 
     The entries of a must be residues in [0, p) (a ValueError otherwise);
     a is left as it is. One basis vector per non-pivot column of the
-    reduced row echelon form, in column order, each checked against every
-    row of a.
+    reduced row echelon form (see :func:`_row_space_mod`), in column
+    order, each checked against every row of a.
     """
     if a.size and not 0 <= a.min() <= a.max() < p:
         raise ValueError(f"entries must be residues in [0, {p})")
-    rref, pivot_cols = _rref_mod(a.copy(), p)
+    rref, pivot_cols = _row_space_mod(a, p)
     free = np.ones(a.shape[1], dtype=bool)
     free[pivot_cols] = False
     free = np.flatnonzero(free)
     basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivot_cols] = (-rref[: len(pivot_cols), free].T) % p
-    if not _annihilates_mod(a, basis, p):
+    basis[:, pivot_cols] = (-rref[:, free].T) % p
+    if _matmul_mod(a, basis.T, p).any():
         raise ArithmeticError("nullspace vector failed verification")
     return basis
 

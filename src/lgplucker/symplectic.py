@@ -16,6 +16,9 @@ pair (i, 2n-i+1) adjacent, pairs ascending). ``pair_adjacent_sign`` is the
 parity of that rearrangement, and ``coordinates`` tabulates it once per
 grade; matrix-level code works against these coordinates so the
 contraction system keeps 0/1 coefficients.
+
+Points are computed on integers and on index tables built once per size;
+Fractions are built only for what is handed out.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import lcm, prod
+from itertools import combinations
+from math import comb, lcm, prod
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +35,7 @@ import numpy as np
 from . import linalg
 from .combinatorics import (
     IndexTuple,
+    binomials,
     index_tuples,
     paired_entries,
     sorting_sign,
@@ -39,7 +43,10 @@ from .combinatorics import (
     tuple_array,
 )
 from .errors import ENUMERATION_CAP, ResourceCapError
-from .fields import Field, GF, Scalar
+from .fields import Field, GF, Scalar, integer_numerators
+
+# points of a cell converted to Python rows at once by lagrangian_subspaces
+_CHUNK = 4096
 
 
 def basis_pairing(i: int, j: int, n: int) -> int:
@@ -136,6 +143,15 @@ class ExteriorVector:
             raise ValueError(f"{alpha!r} is not a strictly increasing {self.grade}-tuple over [1, {2 * self.n}]")
         return j
 
+    def numerators(self) -> Tuple[np.ndarray, int]:
+        """(x, d) with values = x / d and x exact integers: the residues and
+        d = 1 over GF(p), an object array of numerators over their least
+        common denominator over QQ."""
+        if self.field.char:
+            return self.values, 1
+        nums, d = integer_numerators(self.values.tolist())
+        return np.array(nums, dtype=object), d
+
     @property
     def coords(self) -> Dict[IndexTuple, Scalar]:
         """The nonzero coordinates, keyed by index tuple in canonical order."""
@@ -203,27 +219,31 @@ class LaplaceTable(NamedTuple):
     canonical order. Row r of ``column`` and ``previous`` lists, for each
     position pos of ``tuples[r]``, the 0-based column of its entry there
     and the canonical position of the j-tuple left when it is removed.
-    The term at pos carries the sign (-1)^(j + pos).
+    The term at pos carries the sign ``signs[pos]`` = (-1)^(j + pos).
     """
 
     tuples: List[IndexTuple]
     column: np.ndarray
     previous: np.ndarray
+    signs: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def laplace_table(j: int, m: int) -> LaplaceTable:
     """Index table taking the j-minors of the first j rows to the
-    (j + 1)-minors of the first j + 1 rows, in ambient dimension m."""
-    before = {t: r for r, t in enumerate(index_tuples(j, m))}
+    (j + 1)-minors of the first j + 1 rows, in ambient dimension m.
+    ``previous`` is ``tuple_rank``'s closed form on each tuple minus one
+    entry, whose later entries move one place left."""
     tuples = index_tuples(j + 1, m)
-    column = [[i - 1 for i in t] for t in tuples]
-    previous = [[before[t[:pos] + t[pos + 1 :]] for pos in range(j + 1)] for t in tuples]
-    return LaplaceTable(
-        tuples,
-        np.array(column, dtype=np.intp).reshape(len(tuples), j + 1),
-        np.array(previous, dtype=np.intp).reshape(len(tuples), j + 1),
-    )
+    t = tuple_array(tuples, j + 1)
+    c = binomials(m + 1)
+    places = np.arange(j + 1)
+    before = c[m - t, j - places]  # entry q at place q, for q < pos
+    after = c[m - t, j + 1 - places]  # entry q at place q - 1, for q > pos
+    sum_before = np.cumsum(before, axis=1) - before
+    sum_after = after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
+    previous = comb(m, j) - 1 - sum_before - sum_after
+    return LaplaceTable(tuples, t - 1, previous, 1 - 2 * ((j + places) % 2))
 
 
 def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
@@ -232,9 +252,11 @@ def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
     The minors are built one row at a time by Laplace expansion along the
     last row: with w_j the j-minors of the first j rows,
     w_{j+1}[T] = sum over pos of (-1)^(j + pos) v_{j+1}[T_pos] w_j[T - T_pos].
-    Over GF(p) this runs on int64 residues, each product below p^2 < 2^62
-    reduced before the alternating sum, so it is exact for every
-    p < MAX_PRIME. Over QQ the same gathers run on Python ints: each row
+    Each step is one gather and one signed product: the terms of every
+    minor times the table's signs. Over GF(p) this runs on int64
+    residues, each product below p^2 < 2^62 reduced before the signed
+    sum of at most 2n terms, so it is exact for every p < MAX_PRIME.
+    Over QQ the same gathers run on Python ints: each row
     is scaled by the lcm of its denominators, and each minor is divided by
     the product of the scales at the end. No step of the recurrence
     divides. Linearly dependent inputs simply give the zero vector.
@@ -258,8 +280,8 @@ def _wedge(vecs: Sequence[Sequence[Scalar]], n: int, field: Field) -> ExteriorVe
     if p:
         v = np.array(vecs, dtype=np.int64)
     else:
-        scales = [lcm(*(x.denominator for x in row)) for row in vecs]
-        v = np.array([[x.numerator * (s // x.denominator) for x in row] for row, s in zip(vecs, scales)], dtype=object)
+        rows, scales = zip(*map(integer_numerators, vecs))
+        v = np.array(rows, dtype=object)
         scale = prod(scales)
     w = v[0]
     for j in range(1, k):
@@ -267,13 +289,30 @@ def _wedge(vecs: Sequence[Sequence[Scalar]], n: int, field: Field) -> ExteriorVe
         terms = v[j][table.column] * w[table.previous]
         if p:
             terms %= p
-        even, odd = terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1)
-        w = even - odd if j % 2 == 0 else odd - even
+        w = terms @ table.signs
         if p:
             w %= p
     if not p:
         w = np.array([Fraction(x, scale) for x in w.tolist()], dtype=object)
     return ExteriorVector._reduced(n, k, field, w)
+
+
+@lru_cache(maxsize=None)
+def contraction_table(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of :func:`contract` in grade n, read off its definition,
+    as arrays (source, sign, starts): output coordinate g sums sign[t]
+    times input coordinate source[t] over t from starts[g] to starts[g + 1]."""
+    position = coordinates(n, n).position
+    source, signs, starts = [], [], []
+    for gamma in coordinates(n - 2, n).tuples:
+        starts.append(len(source))
+        for i, ibar in zip(range(1, n + 1), range(2 * n, n, -1)):
+            if i not in gamma and ibar not in gamma:
+                # gamma is sorted and i < ibar: the word's inversions are
+                # the entries of gamma above i and those above ibar
+                source.append(position[tuple(sorted(gamma + (i, ibar)))])
+                signs.append((-1) ** (sum(g > i for g in gamma) + sum(g > ibar for g in gamma)))
+    return np.array(source), np.array(signs), np.array(starts)
 
 
 def contract(w: ExteriorVector) -> ExteriorVector:
@@ -284,27 +323,19 @@ def contract(w: ExteriorVector) -> ExteriorVector:
     gamma + (i, 2n - i + 1); the sorting parity of that word reproduces
     exactly the (-1)^(r + s - 1) position sign of the term-by-term
     definition, so this agrees with ``contract_vectors`` on wedges.
+    One gather and segmented sum over :func:`contraction_table`, over QQ
+    on integer numerators over one common denominator.
     """
     n = w.n
     if w.grade != n or n < 2:
         raise ValueError(f"contraction needs grade n = {n} >= 2, got grade {w.grade}")
-    field = w.field
-    out: Dict[IndexTuple, Scalar] = {}
-    for beta, val in w.coords.items():
-        support = set(beta)
-        for i in range(1, n + 1):
-            ibar = 2 * n + 1 - i
-            if i not in support or ibar not in support:
-                continue
-            gamma = tuple(x for x in beta if x != i and x != ibar)
-            sign = sorting_sign(gamma + (i, ibar))
-            term = val if sign > 0 else field.neg(val)
-            acc = field.add(out.get(gamma, field.zero), term)
-            if acc:
-                out[gamma] = acc
-            else:
-                out.pop(gamma, None)
-    return ExteriorVector(n, n - 2, field, out)
+    source, signs, starts = contraction_table(n)
+    x, d = w.numerators()
+    # every (n - 2)-tuple misses at least two pairs, so no segment is empty
+    out = np.add.reduceat(x[source] * signs, starts)
+    if not w.field.char:
+        out = np.array([Fraction(v, d) for v in out.tolist()], dtype=object)
+    return ExteriorVector._reduced(n, n - 2, w.field, out)
 
 
 def contract_vectors(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
@@ -354,18 +385,6 @@ def arranged_coordinates(w: ExteriorVector) -> List[Scalar]:
     return (twisted % p if p else twisted).tolist()
 
 
-def _leading_columns_increase(rows: Sequence[Sequence[Scalar]]) -> bool:
-    """Whether each row's first nonzero entry lies strictly right of the
-    previous row's, which makes the rows independent."""
-    prev = -1
-    for row in rows:
-        lead = next((j for j, v in enumerate(row) if v), -1)
-        if lead <= prev:
-            return False
-        prev = lead
-    return True
-
-
 class SubspaceBasis:
     """Rows of a k-dimensional subspace basis, checked independent."""
 
@@ -376,16 +395,15 @@ class SubspaceBasis:
         for row in coerced:
             if len(row) != 2 * n:
                 raise ValueError(f"rows must have length {2 * n}")
-        if not _leading_columns_increase(coerced):
-            if linalg.rank(linalg.ExactMatrix.from_rows(coerced, field)) != len(coerced):
-                raise ValueError("rows are linearly dependent")
+        if linalg.rank(linalg.ExactMatrix.from_rows(coerced, field)) != len(coerced):
+            raise ValueError("rows are linearly dependent")
         self.n = n
         self.field = field
         self.rows = coerced
 
     @classmethod
     def _reduced(cls, n: int, field: Field, rows: Tuple[Tuple[Scalar, ...], ...]) -> "SubspaceBasis":
-        """Wrap exact rows of length 2n with increasing leading columns, unchecked."""
+        """Wrap exact rows of length 2n already known to be independent, unchecked."""
         basis = cls.__new__(cls)
         basis.n, basis.field, basis.rows = n, field, rows
         return basis
@@ -409,8 +427,14 @@ class SubspaceBasis:
 
 
 def is_isotropic(basis: SubspaceBasis) -> bool:
-    """Whether all pairwise pairings of the basis rows vanish."""
-    return all(not v for row in basis.gram() for v in row)
+    """Whether all pairwise pairings of the basis rows vanish: the Gram
+    matrix is g - g^T, where g pairs the first half of each row with the
+    reversed second half of each; over QQ on integer multiples of the rows."""
+    p, n = basis.field.char, basis.n
+    rows = basis.rows if p else [integer_numerators(row)[0] for row in basis.rows]
+    x = np.array(rows, dtype=object).reshape(len(rows), 2 * n)
+    g = x[:, :n] @ x[:, ::-1][:, :n].T
+    return not ((g - g.T) % p if p else g - g.T).any()
 
 
 def plucker_vector(basis: SubspaceBasis) -> ExteriorVector:
@@ -424,43 +448,39 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
     Repeatedly draws a random vector inside the symplectic perpendicular
     of the span so far, keeping it when independent. Deterministic for a
     fixed seed; always terminates because an isotropic subspace of
-    dimension k < n has a strictly larger perpendicular.
+    dimension k < n has a strictly larger perpendicular. The
+    perpendicular's basis (one vector per free column of the reduced
+    constraints) and the independence test come from
+    ``linalg.int_echelon`` on integer multiples of the rows.
     """
     rng = random.Random(seed)
-    rows: List[List[Scalar]] = []
-
-    def perp_basis() -> List[List[Scalar]]:
-        if not rows:
-            eye = []
-            for i in range(2 * n):
-                v = [field.zero] * (2 * n)
-                v[i] = field.one
-                eye.append(v)
-            return eye
-        # row r constrains y through sum_c <r, e_c> y_c = 0, where <r, e_c>
-        # is r[cbar] for c >= n and -r[cbar] below, cbar = 2n - 1 - c
-        last = 2 * n - 1
-        pair_rows = [[r[last - c] if c >= n else field.neg(r[last - c]) for c in range(2 * n)] for r in rows]
-        return linalg.nullspace(linalg.ExactMatrix.from_rows(pair_rows, field))
-
+    p = field.char
+    width, last = 2 * n, 2 * n - 1
+    # row r constrains y through sum_c <r, e_c> y_c = 0, where <r, e_c> is
+    # r[cbar] for c >= n and -r[cbar] below, cbar = 2n - 1 - c; a row is
+    # independent of the others exactly when its constraint is
+    constraints: List[List[int]] = []
+    rows: List[Tuple[Scalar, ...]] = []
     while len(rows) < n:
-        basis = perp_basis()
-        if field.char:
-            coeffs = [rng.randrange(field.char) for _ in basis]
-        else:
-            coeffs = [rng.randint(-9, 9) for _ in basis]
-        cand = [field.zero] * (2 * n)
-        for c, vec in zip(coeffs, basis):
-            if not c:
-                continue
-            cs = field.coerce(c)
-            cand = [field.add(a, field.mul(cs, b)) for a, b in zip(cand, vec)]
-        if not any(cand):
+        reduced, pivots = linalg.int_echelon(constraints, p)
+        free = [c for c in range(width) if c not in pivots]
+        coeffs = [rng.randrange(p) if p else rng.randint(-9, 9) for _ in free]
+        if not any(coeffs):
             continue
-        m = linalg.ExactMatrix.from_rows(rows + [cand], field)
-        if linalg.rank(m) == len(rows) + 1:
-            rows.append(cand)
-    lag = SubspaceBasis(n, field, rows)
+        # the draw times d, with d the lcm of the pivots (1 mod p)
+        d = lcm(*(row[c] for row, c in zip(reduced, pivots)))
+        cand = [0] * width
+        for c, x in zip(free, coeffs):
+            cand[c] = x * d
+        for row, c in zip(reduced, pivots):
+            cand[c] = -(d // row[c]) * sum(x * row[f] for f, x in zip(free, coeffs))
+        constraint = [cand[last - c] if c >= n else -cand[last - c] for c in range(width)]
+        if p:
+            cand, constraint = [x % p for x in cand], [x % p for x in constraint]
+        if len(linalg.int_echelon(constraints + [constraint], p)[1]) > len(constraints):
+            constraints.append(constraint)
+            rows.append(tuple(cand) if p else tuple(Fraction(x, d) for x in cand))
+    lag = SubspaceBasis._reduced(n, field, tuple(rows))
     if not is_isotropic(lag):
         raise ArithmeticError(f"random_lagrangian(n={n}, seed={seed}) built a basis that is not isotropic")
     return lag
@@ -471,14 +491,13 @@ def lagrangian_count(n: int, q: int) -> int:
     return prod(1 + q**i for i in range(1, n + 1))
 
 
-def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
-    """All Lagrangian subspaces over GF(q), one canonical basis each.
+def lagrangian_cells(n: int, q: int) -> Iterator[np.ndarray]:
+    """The Schubert cells of the Lagrangian subspaces over GF(q), each
+    as one int64 array of shape (q^d, n, 2n): the unique reduced row
+    echelon basis of every point in the cell, d its dimension.
 
-    Emits the unique reduced row echelon representative of every
-    n-dimensional isotropic subspace of GF(q)^(2n), grouped by pivot
-    column set in lexicographic order. Each group is a Schubert cell,
-    an affine space written down directly, so nothing is solved.
-
+    Cells come in lexicographic order of their pivot column sets. Each
+    is an affine space written down directly, so nothing is solved.
     In 0-based columns c pairs with cbar = 2n - 1 - c. Only the 2^n pivot
     sets P = (p_0 < ... < p_{n-1}) holding no pair {c, cbar} occur, and
     their non-pivot columns are the pbar_s, so row r is
@@ -490,37 +509,43 @@ def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
     one free value y per pair r <= s with p_r + p_s < 2n - 1, setting
     X[r, s] = eps_s y and X[s, r] = eps_r y. Within a cell the free values
     run through GF(q)^d in lexicographic order, the pairs ordered by r
-    and then s, and the first pair varying slowest. Each basis is reduced
-    by construction, so it is filled in from its cell's template unchecked.
+    and then s, and the first pair varying slowest. n, q and the cap are
+    checked, in that order, before the first cell is built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    field = GF(q)
+    GF(q)  # raises for a q that is not a prime below MAX_PRIME
     total = lagrangian_count(n, q)
     if total > ENUMERATION_CAP:
         raise ResourceCapError(
             f"{total} subspaces exceed the enumeration cap {ENUMERATION_CAP}; "
             "use random_lagrangian for sampling instead"
         )
-    width = 2 * n
-    last = width - 1
-    for pivots in combinations(range(width), n):
+    last = 2 * n - 1
+    for pivots in combinations(range(2 * n), n):
         if any(last - c in pivots for c in pivots):
             continue
-        # the rows laid end to end; each free value fills X[r, s] and X[s, r]
-        template = [0] * (n * width)
-        for r, c in enumerate(pivots):
-            template[r * width + c] = 1
         eps = [1 if c < n else -1 for c in pivots]
         free = [(r, s) for r in range(n) for s in range(r, n) if pivots[r] + pivots[s] < last]
-        slots = [(r * width + last - pivots[s], eps[s], s * width + last - pivots[r], eps[r]) for r, s in free]
-        for values in product(range(q), repeat=len(slots)):
-            flat = template.copy()
-            for (a, eps_a, b, eps_b), y in zip(slots, values):
-                flat[a] = eps_a * y % q
-                flat[b] = eps_b * y % q
-            rows = tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width))
-            yield SubspaceBasis._reduced(n, field, rows)
+        cell = np.zeros((q ** len(free), n, 2 * n), dtype=np.int64)
+        cell[:, range(n), pivots] = 1
+        index = np.arange(len(cell))
+        for k, (r, s) in enumerate(free):
+            y = index // q ** (len(free) - 1 - k) % q
+            cell[:, r, last - pivots[s]] = eps[s] * y % q
+            cell[:, s, last - pivots[r]] = eps[r] * y % q
+        yield cell
+
+
+def lagrangian_subspaces(n: int, q: int) -> Iterator[SubspaceBasis]:
+    """All Lagrangian subspaces over GF(q), one canonical basis each: the
+    rows of :func:`lagrangian_cells`, converted ``_CHUNK`` points at a
+    time and wrapped unchecked, being reduced by construction."""
+    for cell in lagrangian_cells(n, q):
+        field = GF(q)  # once lagrangian_cells has checked n and q
+        for start in range(0, len(cell), _CHUNK):
+            for rows in cell[start : start + _CHUNK].tolist():
+                yield SubspaceBasis._reduced(n, field, tuple(map(tuple, rows)))
 
 
 class PluckerRelationTable(NamedTuple):

@@ -90,6 +90,31 @@ class TestIncidenceMatrix:
         assert mat.row_weights() == [4] * 15
         assert mat.column_weights() == [3] * 20
 
+    def test_blocks_check_each_support_once(self, monkeypatch):
+        # a block is built from a checked BinaryMatrix, whose supports it takes as they are
+        dec = decompose(bmatrix(7))
+        calls = []
+        init = BinaryMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BinaryMatrix, "__init__", counted)
+        assert len(dec.blocks) == 966
+        assert calls == [BinaryMatrix] * 966
+
+    @pytest.mark.parametrize("bits", [[[0, 2]], [[1, 0], [0, -1]], [1, 0, 1], [[[1]]]])
+    def test_malformed_array_rejected(self, bits):
+        with pytest.raises(ValueError, match="0/1 array"):
+            IncidenceMatrix(2, np.array(bits), ((),), ((1,), (2,)))
+
+    def test_array_and_binary_matrix_give_one_matrix(self):
+        ref = incidence_matrix(4)
+        from_bits = IncidenceMatrix(4, ref.bits, ref.row_labels, ref.col_labels)
+        assert from_bits == ref
+        assert from_bits.row_supports == ref.row_supports
+
 
 class TestAtlas:
     def test_n4(self):

@@ -275,6 +275,31 @@ class TestCount:
         captured = capsys.readouterr()
         assert "invalid arguments" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("n,q,message", [
+        (3, 4, "modulus 4 is not prime"),
+        (3, 1, "modulus 1 is not prime"),
+        (0, 2, "need n >= 1, got 0"),
+        (0, 4, "need n >= 1, got 0"),
+    ])
+    def test_invalid_arguments_message(self, n, q, message, capsys):
+        assert main(["count", "--n", str(n), "--q", str(q)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid arguments: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("n,q", [(6, 2), (12, 1000003)])
+    def test_above_cap_builds_no_cell(self, n, q, capsys):
+        # the first cell of (12, 1000003) would hold q^78 points
+        assert main(["count", "--n", str(n), "--q", str(q)]) == 0
+        formula = 1
+        for i in range(1, n + 1):
+            formula *= 1 + q**i
+        assert capsys.readouterr().out == f"formula {formula}\nenumerated (skipped: above cap)\n"
+
+    def test_largest_prime_under_the_cap(self, capsys):
+        # one cell of 999983 points and one of a single point
+        assert main(["count", "--n", "1", "--q", "999983"]) == 0
+        assert capsys.readouterr().out == "formula 999984\nenumerated 999984\n"
+
 
 # sha256 of the alist text export-ldpc writes for each atlas member
 ALIST_SHA256 = {

@@ -17,6 +17,7 @@ from lgplucker import (
     functional_matrix,
     index_tuples,
     nullspace,
+    pair_adjacent_sign,
     plucker_vector,
     random_lagrangian,
     rank,
@@ -149,6 +150,38 @@ class TestApply:
                 coords[t] = rng.randint(-5, 5)
             w = ExteriorVector(n, n, QQ, coords)
             assert b.apply(w) == coordinate_vector(contract(w))
+
+
+def literal_apply(b, w):
+    """B applied row by row to the pair-adjacent coordinates of w, with
+    the row's own sign, in field arithmetic."""
+    field = w.field
+    x = arranged_coordinates(w)
+    out = []
+    for gamma, support in zip(b.row_tuples, b.row_supports):
+        total = sum((x[j] for j in support), field.zero)
+        out.append(field.coerce(total if pair_adjacent_sign(gamma, b.n) > 0 else -total))
+    return out
+
+
+class TestPaddedApply:
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(2147483647)])
+    def test_matches_row_by_row_sums(self, n, field):
+        b = bmatrix(n)
+        rng = random.Random(n)
+        for _ in range(5):
+            keys = rng.sample(b.col_tuples, min(12, b.cols))
+            coords = {t: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5])) for t in keys}
+            w = ExteriorVector(n, n, field, coords)
+            got = b.apply(w)
+            assert got == literal_apply(b, w) == coordinate_vector(contract(w))
+            assert all(type(x) is (Fraction if field == QQ else int) for x in got)
+
+    def test_rational_lagrangian_with_fractions(self):
+        w = plucker_vector(random_lagrangian(5, QQ, seed=3))
+        assert any(x.denominator > 1 for x in w.values.tolist())
+        assert bmatrix(5).apply(w) == [0] * bmatrix(5).rows
 
 
 class TestAnnihilation:

@@ -19,7 +19,7 @@ from lgplucker import (
     rank_report,
     row_space_equal,
 )
-from lgplucker.linalg import independent_rows, nullspace_mod
+from lgplucker.linalg import _matmul_mod, _row_space_mod, _rref_mod, independent_rows, int_echelon, nullspace_mod
 from conftest import bmatrix
 
 
@@ -211,3 +211,99 @@ def test_embedding_rank_values():
     assert embedding_rank(2, QQ) == 5
     assert embedding_rank(3, QQ) == 14
     assert embedding_rank(4, QQ) == 42
+
+
+def single_pass_nullspace(a, p):
+    """nullspace_mod as it was: one _rref_mod over all of a, then one basis
+    vector per non-pivot column, entry by entry."""
+    rref, pivots = _rref_mod(a.copy(), p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, c in enumerate(pivots):
+            basis[i, c] = -int(rref[r, f]) % p
+    return rref[: len(pivots)], pivots, basis
+
+
+def tall_matrix(rng, p, nrows, ncols, rank_at):
+    """Random residues whose row space grows as the rows go on: the rows
+    up to rank_at[k][0] lie in a span of rank_at[k][1] random rows."""
+    span = [[rng.randrange(p) for _ in range(ncols)] for _ in range(max(r for _, r in rank_at))]
+    rows = []
+    for i in range(nrows):
+        k = next(r for upto, r in rank_at if i < upto)
+        coefs = [rng.randrange(p) for _ in range(k)]
+        rows.append([sum(c * b[j] for c, b in zip(coefs, span)) % p for j in range(ncols)])
+    return np.array(rows, dtype=np.int64)
+
+
+class TestFoldedNullspace:
+    @pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
+    @pytest.mark.parametrize("shape,rank_at", [
+        ((700, 12), [(700, 5)]),                        # rank-deficient throughout
+        ((900, 10), [(300, 3), (600, 6), (900, 10)]),   # new pivots in later blocks
+        ((600, 9), [(257, 2), (600, 9)]),               # one row past the first block
+        ((40, 8), [(40, 8)]),                           # less than one block
+    ])
+    def test_equals_single_pass_elimination(self, p, shape, rank_at):
+        rng = random.Random(p + shape[0])
+        a = tall_matrix(rng, p, *shape, rank_at)
+        kept = a.copy()
+        rref, pivots, basis = single_pass_nullspace(a, p)
+        got_rref, got_pivots = _row_space_mod(a, p)
+        assert got_pivots == pivots
+        assert got_rref.tolist() == rref.tolist()
+        assert nullspace_mod(a, p).tolist() == basis.tolist()
+        assert np.array_equal(a, kept)
+
+    def test_no_rows_and_zero_rows(self):
+        assert nullspace_mod(np.zeros((0, 3), dtype=np.int64), 5).tolist() == np.eye(3, dtype=np.int64).tolist()
+        assert nullspace_mod(np.zeros((600, 3), dtype=np.int64), 5).tolist() == np.eye(3, dtype=np.int64).tolist()
+
+
+class TestMatmulMod:
+    @pytest.mark.parametrize("p", [2, 65537, 2147483647])
+    def test_matches_python_ints(self, p):
+        rng = random.Random(p)
+        x = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(37)] for _ in range(6)]
+        y = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(4)] for _ in range(37)]
+        want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)] for row in x]
+        got = _matmul_mod(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), p)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_inner_blocks_of_two_to_the_fifteen(self):
+        # every product is (p - 1)^2, about 2^62: summed without the split
+        # and the blocks, two of them would already wrap
+        p = 2147483647
+        k = (1 << 15) + 3
+        x = np.full((2, k), p - 1, dtype=np.int64)
+        y = np.full((k, 1), p - 1, dtype=np.int64)
+        assert _matmul_mod(x, y, p).tolist() == [[k * (p - 1) ** 2 % p]] * 2
+
+
+class TestIntEchelon:
+    def test_over_the_integers(self):
+        # pivots, zeros in the other pivot columns, each row divided by its
+        # gcd, and the same row space
+        rows = [[2, 4, 6, 1], [1, 2, 3, 5], [3, 6, 9, 6]]
+        reduced, pivots = int_echelon(rows, 0)
+        assert pivots == [0, 3]
+        assert reduced == [[1, 2, 3, 0], [0, 0, 0, 1]]
+        assert rank(ExactMatrix.from_rows(reduced + rows, QQ)) == 2
+
+    @pytest.mark.parametrize("p", [0, 2, 7, 2147483647])
+    def test_rank_and_row_space_against_elimination(self, p):
+        field = QQ if p == 0 else GF(p)
+        rng = random.Random(p)
+        for _ in range(30):
+            k, width = rng.randint(1, 6), rng.randint(1, 8)
+            base = [[rng.randint(-5, 5) % p if p else rng.randint(-5, 5) for _ in range(width)] for _ in range(3)]
+            rows = [[sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(width)] for _ in range(k)]
+            rows = [[x % p for x in r] for r in rows] if p else rows
+            reduced, pivots = int_echelon(rows, p)
+            assert len(pivots) == rank(ExactMatrix.from_rows(rows, field)) == len(reduced)
+            assert all(r[c] and not any(r[:c]) for r, c in zip(reduced, pivots))
+            assert all(not r[c] for i, r in enumerate(reduced) for c in pivots if c != pivots[i])
+            if reduced:
+                assert row_space_equal(ExactMatrix.from_rows(reduced, field), ExactMatrix.from_rows(rows, field))

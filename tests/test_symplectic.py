@@ -23,6 +23,7 @@ from lgplucker import (
     is_isotropic,
     lagrangian_count,
     lagrangian_subspaces,
+    nullspace,
     pair_adjacent_sign,
     pairing,
     plucker_vector,
@@ -329,6 +330,19 @@ class TestIsotropy:
         basis = SubspaceBasis(2, QQ, rows)
         oracle = pairing(rows[0], rows[1], 2, QQ) == 0
         assert is_isotropic(basis) == oracle
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(2147483647)])
+    def test_matches_gram_on_perturbed_lagrangians(self, field):
+        rng = random.Random(field.char)
+        for n in (2, 3, 4):
+            for seed in range(10):
+                rows = [list(r) for r in random_lagrangian(n, field, seed).rows]
+                if seed % 2:  # one entry moved: isotropic only by accident
+                    rows[rng.randrange(n)][rng.randrange(2 * n)] += Fraction(1, 3) if field == QQ else 1
+                if rank(ExactMatrix.from_rows(rows, field)) < n:
+                    continue
+                basis = SubspaceBasis(n, field, rows)
+                assert is_isotropic(basis) == all(not v for row in basis.gram() for v in row)
 
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -761,3 +775,166 @@ class TestDenseCarrier:
         assert w.coefficient_word(word) == rw.coefficient_word(word)
         assert (w == v) == (rw == rv)
         assert (w + v) - v == w
+
+
+def fraction_random_lagrangian(n, field, seed):
+    """random_lagrangian as it was written on Field scalars: the
+    perpendicular basis from linalg.nullspace and the independence test
+    from linalg.rank, both on exact rows (Fractions over QQ)."""
+    rng = random.Random(seed)
+    rows = []
+
+    def perp_basis():
+        if not rows:
+            return [[field.one if c == i else field.zero for c in range(2 * n)] for i in range(2 * n)]
+        last = 2 * n - 1
+        pair_rows = [[r[last - c] if c >= n else field.neg(r[last - c]) for c in range(2 * n)] for r in rows]
+        return nullspace(ExactMatrix.from_rows(pair_rows, field))
+
+    while len(rows) < n:
+        basis = perp_basis()
+        if field.char:
+            coeffs = [rng.randrange(field.char) for _ in basis]
+        else:
+            coeffs = [rng.randint(-9, 9) for _ in basis]
+        cand = [field.zero] * (2 * n)
+        for c, vec in zip(coeffs, basis):
+            if c:
+                cand = [field.add(a, field.mul(field.coerce(c), b)) for a, b in zip(cand, vec)]
+        if not any(cand):
+            continue
+        if rank(ExactMatrix.from_rows(rows + [cand], field)) == len(rows) + 1:
+            rows.append(cand)
+    return SubspaceBasis(n, field, rows)
+
+
+class TestIntegerDraw:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_fraction_elimination(self, n):
+        for seed in range(40):
+            got = random_lagrangian(n, QQ, seed)
+            assert got == fraction_random_lagrangian(n, QQ, seed)
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+
+    @pytest.mark.parametrize("p", [2, 7, 2147483647])
+    def test_matches_over_prime_fields(self, p):
+        for n in (2, 3, 4):
+            for seed in range(5):
+                got = random_lagrangian(n, GF(p), seed)
+                assert got == fraction_random_lagrangian(n, GF(p), seed)
+                assert all(type(x) is int and 0 <= x < p for row in got.rows for x in row)
+
+
+def dict_laplace_table(j, m):
+    """laplace_table built by position lookups, as it was first written."""
+    before = {t: r for r, t in enumerate(index_tuples(j, m))}
+    tuples = index_tuples(j + 1, m)
+    column = [[i - 1 for i in t] for t in tuples]
+    previous = [[before[t[:pos] + t[pos + 1 :]] for pos in range(j + 1)] for t in tuples]
+    return tuples, column, previous
+
+
+class TestLaplaceTableFromRanks:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_dict_construction(self, m):
+        for j in range(m):
+            table = laplace_table(j, m)
+            tuples, column, previous = dict_laplace_table(j, m)
+            assert table.tuples == tuples
+            assert table.column.tolist() == column
+            assert table.previous.tolist() == previous
+            assert table.signs.tolist() == [(-1) ** (j + pos) for pos in range(j + 1)]
+
+
+def literal_contract(w):
+    """contract read off its definition, coordinate by coordinate."""
+    n, field = w.n, w.field
+    out = {}
+    for beta, val in w.coords.items():
+        for i in range(1, n + 1):
+            ibar = 2 * n + 1 - i
+            if i in beta and ibar in beta:
+                gamma = tuple(x for x in beta if x not in (i, ibar))
+                term = val if sorting_sign(gamma + (i, ibar)) > 0 else field.neg(val)
+                out[gamma] = field.add(out.get(gamma, field.zero), term)
+    return ExteriorVector(n, n - 2, field, out)
+
+
+class TestContractionTable:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_rational_wedges_against_contract_vectors(self, n):
+        rng = random.Random(n)
+        for _ in range(3 if n > 5 else 10):
+            vecs = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(2 * n)] for _ in range(n)]
+            got = contract(wedge(vecs, n, QQ))
+            assert got == contract_vectors(vecs, n, QQ)
+            assert all(type(x) is Fraction for x in got.values.tolist())
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("p", [3, 2147483647])
+    def test_sparse_vectors_over_gf(self, n, p):
+        field = GF(p)
+        rng = random.Random(n * p)
+        tuples = index_tuples(n, 2 * n)
+        for _ in range(10):
+            coords = {t: rng.randrange(p) for t in rng.sample(tuples, min(8, len(tuples)))}
+            w = ExteriorVector(n, n, field, coords)
+            got = contract(w)
+            assert got == literal_contract(w)
+            assert all(type(x) is int for x in got.values.tolist())
+        vecs = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(2 * n)] for _ in range(n)]
+        assert contract(wedge(vecs, n, field)) == contract_vectors(vecs, n, field)
+
+    def test_table_built_once_per_n(self):
+        table = symplectic.contraction_table(4)
+        assert table is symplectic.contraction_table(4)
+        source, signs, starts = table
+        # one term per complementary pair inside each 4-tuple over [1, 8],
+        # and at least two per 2-tuple
+        assert len(source) == len(signs) == sum(
+            sum(1 for i in range(1, 5) if i in t and 9 - i in t) for t in index_tuples(4, 8)
+        )
+        assert len(starts) == 28 and starts[0] == 0 and (np.diff(starts) >= 2).all()
+
+
+def cell_order_key(rows, n, q):
+    """Where a basis falls in lagrangian_cells' documented order: its pivot
+    set, then its free values y = eps_s X[r, s] for r <= s, in order of (r, s)."""
+    last = 2 * n - 1
+    pivots = tuple(next(c for c, v in enumerate(row) if v) for row in rows)
+    eps = [1 if c < n else -1 for c in pivots]
+    free = tuple(
+        eps[s] * rows[r][last - pivots[s]] % q for r in range(n) for s in range(r, n) if pivots[r] + pivots[s] < last
+    )
+    return pivots, free
+
+
+class TestLagrangianCells:
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_flattened_cells_match_rref_oracle_in_order(self, n, q):
+        cells = list(symplectic.lagrangian_cells(n, q))
+        assert len(cells) == 2**n
+        for cell in cells:
+            assert cell.dtype == np.int64 and cell.shape[1:] == (n, 2 * n)
+            assert len({cell_order_key(rows, n, q)[0] for rows in cell.tolist()}) == 1
+        flat = [tuple(map(tuple, rows)) for cell in cells for rows in cell.tolist()]
+        assert flat == sorted(rref_isotropic_bases(n, q), key=lambda rows: cell_order_key(rows, n, q))
+
+    @pytest.mark.parametrize("n,q", [(1, 5), (3, 3), (4, 2)])
+    def test_subspaces_are_the_cells_rows(self, n, q):
+        flat = [tuple(map(tuple, rows)) for cell in symplectic.lagrangian_cells(n, q) for rows in cell.tolist()]
+        assert [lag.rows for lag in enumerated_bases(n, q)] == flat
+        assert sum(map(len, symplectic.lagrangian_cells(n, q))) == lagrangian_count(n, q)
+
+    def test_more_points_than_one_chunk(self, monkeypatch):
+        # (3, 3) has cells of 729 points; chunks of 100 cut through them
+        monkeypatch.setattr(symplectic, "_CHUNK", 100)
+        assert [lag.rows for lag in lagrangian_subspaces(3, 3)] == [lag.rows for lag in enumerated_bases(3, 3)]
+
+    @pytest.mark.parametrize("n,q,error", [
+        (0, 2, ValueError), (0, 4, ValueError), (2, 4, ValueError), (12, 1000003, ResourceCapError),
+    ])
+    def test_checked_before_the_first_cell(self, n, q, error):
+        # n = 12, q = 1000003 would start with a cell of q^78 points
+        with pytest.raises(error):
+            next(symplectic.lagrangian_cells(n, q))
