@@ -75,20 +75,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _write_output(text: str, out: Optional[str], summary: str) -> None:
+    """text on stdout and the summary on stderr, or text to the file out
+    and the summary on stdout."""
     if out is None or out == "-":
         sys.stdout.write(text)
+        print(summary, file=sys.stderr)
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
+        print(summary)
 
 
 def cmd_build(args) -> int:
     b = frlc.build_plucker_matrix(args.n)
-    text = formats.WRITERS[args.format](b)
-    _write_output(text, args.out)
     summary = f"B(n={args.n}): {b.shape[0]} x {b.shape[1]}, nnz {b.nnz}"
-    print(summary, file=sys.stderr if args.out in (None, "-") else sys.stdout)
+    _write_output(formats.WRITERS[args.format](b), args.out, summary)
     return EXIT_OK
 
 
@@ -285,15 +287,13 @@ def cmd_export_ldpc(args) -> int:
     if args.m > EXPORT_CAP:
         raise ResourceCapError(f"m = {args.m} exceeds the export cap {EXPORT_CAP}")
     mat = blocks.incidence_matrix(args.m)
-    text = formats.write_alist(mat)
-    _write_output(text, args.out)
     r = blocks.r_value(args.m)
     summary = (
         f"{mat.label}: code length {comb(args.m, args.m // 2)}, "
         f"parity rows {comb(args.m, (args.m - 2) // 2)}, "
         f"row weight {r}, column weight {r - 1}"
     )
-    print(summary, file=sys.stderr if args.out in (None, "-") else sys.stdout)
+    _write_output(formats.write_alist(mat), args.out, summary)
     return EXIT_OK
 
 
@@ -350,6 +350,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CAP
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # --out names a missing directory, a directory or an unwritable file
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

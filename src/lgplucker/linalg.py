@@ -1,17 +1,15 @@
 """Exact rank, nullspace and row-space comparison over QQ and GF(p).
 
-Two elimination back ends, both exact with no tolerances anywhere:
+Two representations, one exact elimination kernel each, no tolerances:
 
-* prime fields go through dense numpy row reduction on int64 residues
-  (products of two reduced residues stay inside int64 for the allowed
-  moduli); the nullspace of a tall matrix folds its rows into the
-  reduced row space a block at a time, and every matrix product mod p
-  goes through one overflow-safe helper, ``_matmul_mod``;
-* the rationals go through sparse forward elimination on dict-backed rows
-  with Fraction arithmetic and shortest-row pivoting.
-
-A few short rows of Python ints, as in Lagrangian sampling, go through
-``int_echelon``: mod p, or fraction-free over the integers.
+* rows of Python ints go through ``int_echelon``, sparse Gauss-Jordan
+  elimination mod p or fraction-free over the integers. ``rank``,
+  ``independent_rows`` and ``nullspace`` convert an ``ExactMatrix`` once
+  for it (each row times the lcm of its denominators) over every field;
+* int64 residue arrays, as the vanishing space of many points over GF(p)
+  makes, go through dense numpy row reduction: the nullspace of a tall
+  array folds its rows into the reduced row space a block at a time,
+  and every product mod p goes through the overflow-safe ``_matmul_mod``.
 
 The rank of the relation matrix itself (``rank_report``,
 ``embedding_rank``) comes from its verified block decomposition, so
@@ -23,13 +21,14 @@ or as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, gcd
 from operator import lt
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, GF, QQ, Scalar
+from .fields import Field, GF, QQ, Scalar, integer_numerators
 
 # rows of a tall matrix folded at once into its reduced row space
 _FOLD_ROWS = 256
@@ -54,33 +53,19 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, data: Iterable[Sequence], field: Field) -> "ExactMatrix":
-        rows = []
-        width = None
+        rows, width = [], None
         for raw in data:
-            raw = list(raw)
+            raw = [field.coerce(v) for v in raw]
             if width is None:
                 width = len(raw)
             elif len(raw) != width:
                 raise ValueError("ragged rows")
-            row = {}
-            for c, v in enumerate(raw):
-                v = field.coerce(v)
-                if v:
-                    row[c] = v
-            rows.append(row)
+            rows.append({c: v for c, v in enumerate(raw) if v})
         return cls(len(rows), width or 0, field, rows)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, field: Field) -> "ExactMatrix":
         return cls(nrows, ncols, field, [{} for _ in range(nrows)])
-
-    def to_int64(self) -> np.ndarray:
-        """Dense int64 image; entries must already be Python ints."""
-        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for i, r in enumerate(self.rows):
-            for c, v in r.items():
-                a[i, c] = v
-        return a
 
     def transpose(self) -> "ExactMatrix":
         rows: List[Dict[int, Scalar]] = [{} for _ in range(self.ncols)]
@@ -92,12 +77,8 @@ class ExactMatrix:
     def stacked(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.ncols != self.ncols or other.field != self.field:
             raise ValueError("stack requires matching column count and field")
-        return ExactMatrix(
-            self.nrows + other.nrows,
-            self.ncols,
-            self.field,
-            [dict(r) for r in self.rows] + [dict(r) for r in other.rows],
-        )
+        rows = [dict(r) for r in self.rows + other.rows]
+        return ExactMatrix(self.nrows + other.nrows, self.ncols, self.field, rows)
 
     def mat_vec(self, x: Sequence[Scalar]) -> List[Scalar]:
         if len(x) != self.ncols:
@@ -255,85 +236,84 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return a, pivot_cols
 
 
-def _rref_sparse(rows: List[Dict[int, Scalar]], ncols: int, field: Field) -> List[Tuple[int, int]]:
-    """In-place sparse forward elimination; returns (pivot column, row index) pairs.
-
-    Pivot rows are normalized to leading 1 and eliminated from the rows not
-    yet pivoted only, so afterwards each pivot row is zero left of its pivot
-    column and the pivot rows form a row echelon form, in pivot order.
-    """
-    pivots: List[Tuple[int, int]] = []
-    pivoted = [False] * len(rows)
-    for col in range(ncols):
-        best = -1
-        for idx, row in enumerate(rows):
-            if pivoted[idx] or col not in row:
-                continue
-            if best < 0 or len(row) < len(rows[best]):
-                best = idx
-        if best < 0:
-            continue
-        prow = rows[best]
-        inv = field.inv(prow[col])
-        if inv != field.one:
-            prow = {c: field.mul(v, inv) for c, v in prow.items()}
-            rows[best] = prow
-        pivoted[best] = True
-        for idx, row in enumerate(rows):
-            if pivoted[idx] or col not in row:
-                continue
-            f = row[col]
-            new = dict(row)
-            for c, v in prow.items():
-                nv = field.sub(new.get(c, field.zero), field.mul(f, v))
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            rows[idx] = new
-        pivots.append((col, best))
-    return pivots
-
-
 def int_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
     """Gauss-Jordan elimination of Python-int rows, mod p, or for p = 0
     fraction-free over the integers: returns the nonzero reduced rows and
-    their pivot columns. Each reduced row is zero left of its pivot and in
-    the other rows' pivot columns; mod p its pivot is 1, over the integers
-    its entries are divided by their gcd after every step."""
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    for c in range(len(rows[0]) if rows else 0):
-        k = len(pivots)
-        hit = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            continue
-        rows[k], rows[hit] = rows[hit], rows[k]
-        if p:
-            inv = pow(rows[k][c], -1, p)
-            rows[k] = [x * inv % p for x in rows[k]]
-        prow, g = rows[k], rows[k][c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i == k or not f:
-                continue
-            new = [g * x - f * y for x, y in zip(row, prow)]
+    their pivot columns, in column order. Each reduced row is zero left of
+    its pivot and in the other rows' pivot columns; mod p its pivot is 1,
+    over the integers its entries are coprime and its pivot positive: the
+    one reduced form of the row space either way.
+
+    Rows given as {column: int} dicts come back as dicts; all are held as
+    dicts. Each pivot is the shortest row not yet pivoted that reaches its
+    column, taken out of the other such rows; the rows above are cleared
+    once that forward pass is done.
+    """
+
+    def take_out(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, int]:
+        # row minus the multiple of prow that clears column c, in place;
+        # over the integers row is first scaled so that the multiple is
+        # whole, and then divided by the gcd of its entries
+        h = gcd(row[c], prow[c])
+        f, g = row[c] // h, prow[c] // h  # g is 1 mod p, as the pivots are
+        if g != 1:
+            for k in row:
+                row[k] *= g
+        for k, v in prow.items():
+            x = row.pop(k, 0) - f * v
             if p:
-                rows[i] = [x % p for x in new]
-            else:
-                div = gcd(*new) or 1
-                rows[i] = [x // div for x in new]
+                x %= p
+            if x:
+                row[k] = x
+        if g != 1 and row:
+            h = gcd(*row.values())
+            for k in row:
+                row[k] //= h
+        return row
+
+    dense = bool(rows) and not isinstance(rows[0], dict)
+    waiting: Dict[int, List[Dict[int, int]]] = {}  # rows not yet pivoted, by leading column
+    for r in rows:
+        items = enumerate(r) if dense else r.items()
+        row = {c: y for c, x in items if (y := x % p)} if p else {c: x for c, x in items if x}
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    reduced: List[Dict[int, int]] = []
+    pivots: List[int] = []
+    while waiting:
+        c = min(waiting)
+        prow, *rest = sorted(waiting.pop(c), key=len)
+        if p and prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = {k: v * inv % p for k, v in prow.items()}
+        for row in rest:
+            if take_out(row, prow, c):
+                waiting.setdefault(min(row), []).append(row)
+        reduced.append(prow)
         pivots.append(c)
-    return rows[: len(pivots)], pivots
+    for k in range(len(reduced) - 1, 0, -1):
+        for row in reduced[:k]:
+            if pivots[k] in row:
+                take_out(row, reduced[k], pivots[k])
+    if not p:
+        for row, c in zip(reduced, pivots):
+            h = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+            for k in row:
+                row[k] //= h
+    if dense:
+        return [[row.get(c, 0) for c in range(len(rows[0]))] for row in reduced], pivots
+    return reduced, pivots
+
+
+def _int_rows(m: ExactMatrix) -> List[Dict[int, int]]:
+    """The rows of m as {column: int} dicts for ``int_echelon``: each row
+    times the lcm of its denominators (residues over GF(p) stay as they are)."""
+    return [dict(zip(r, integer_numerators(r.values())[0])) for r in m.rows]
 
 
 def rank(m: ExactMatrix) -> int:
     """Rank of m over its field (deterministic exact elimination)."""
-    if m.field.char:
-        _, pivot_cols = _rref_mod(m.to_int64(), m.field.char)
-        return len(pivot_cols)
-    work = [dict(r) for r in m.rows]
-    return len(_rref_sparse(work, m.ncols, m.field))
+    return len(int_echelon(_int_rows(m), m.field.char)[1])
 
 
 def independent_rows(m: ExactMatrix) -> List[int]:
@@ -342,10 +322,7 @@ def independent_rows(m: ExactMatrix) -> List[int]:
     They are the pivot columns of the reduced row echelon form of the
     transpose, and the rows they pick form a basis of the row space.
     """
-    t = m.transpose()
-    if m.field.char:
-        return _rref_mod(t.to_int64(), m.field.char)[1]
-    return [col for col, _ in _rref_sparse(t.rows, t.ncols, m.field)]
+    return int_echelon(_int_rows(m.transpose()), m.field.char)[1]
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -433,29 +410,21 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(m: ExactMatrix) -> List[List[Scalar]]:
-    """Basis of the right nullspace {x : m x = 0}, each vector re-verified."""
+    """Basis of the right nullspace {x : m x = 0}: one vector per
+    non-pivot column of the reduced row echelon form, in column order,
+    read off the reduced rows and re-verified."""
     field = m.field
-    if field.char:
-        return nullspace_mod(m.to_int64(), field.char).tolist()
-    work = [dict(r) for r in m.rows]
-    pivots = _rref_sparse(work, m.ncols, field)
-    pivot_cols = {col for col, _ in pivots}
-    free = [c for c in range(m.ncols) if c not in pivot_cols]
+    reduced, pivots = int_echelon(_int_rows(m), field.char)
     basis: List[List[Scalar]] = []
-    for fcol in free:
+    for f in sorted(set(range(m.ncols)).difference(pivots)):
         x = [field.zero] * m.ncols
-        x[fcol] = field.one
-        # back substitution: a pivot row only reaches right of its pivot
-        for col, idx in reversed(pivots):
-            s = field.zero
-            for c, v in work[idx].items():
-                if c != col:
-                    s = field.add(s, field.mul(v, x[c]))
-            x[col] = field.neg(s)
-        basis.append(x)
-    for x in basis:
-        if any(v for v in m.mat_vec(x)):
+        x[f] = field.one
+        for row, c in zip(reduced, pivots):
+            if f in row:
+                x[c] = field.coerce(Fraction(-row[f], row[c]))
+        if any(m.mat_vec(x)):
             raise ArithmeticError("nullspace vector failed verification")
+        basis.append(x)
     return basis
 
 
@@ -463,11 +432,8 @@ def row_space_equal(a: ExactMatrix, b: ExactMatrix) -> bool:
     """Whether a and b span the same row space over their common field."""
     if a.ncols != b.ncols or a.field != b.field:
         raise ValueError("row spaces live in different ambient spaces")
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    return rank(a.stacked(b)) == ra
+    r = rank(a)
+    return rank(b) == r and rank(a.stacked(b)) == r
 
 
 @dataclass(frozen=True)
@@ -488,10 +454,6 @@ class RankCriterionViolation(Exception):
     def __init__(self, report: RankReport):
         self.report = report
         super().__init__(f"characteristic criterion violated: {report}")
-
-
-def field_of_characteristic(characteristic: int) -> Field:
-    return QQ if characteristic == 0 else GF(characteristic)
 
 
 def _relation_rank(n: int, field: Field) -> int:
@@ -519,7 +481,7 @@ def rank_report(n: int, characteristic: int) -> RankReport:
     Full rank is expected exactly when the characteristic is 0 or at least
     floor((n + 2) / 2); a violation raises RankCriterionViolation.
     """
-    r = _relation_rank(n, field_of_characteristic(characteristic))
+    r = _relation_rank(n, GF(characteristic) if characteristic else QQ)
     expected = comb(2 * n, n - 2)
     report = RankReport(
         n=n,

@@ -451,7 +451,9 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
     dimension k < n has a strictly larger perpendicular. The
     perpendicular's basis (one vector per free column of the reduced
     constraints) and the independence test come from
-    ``linalg.int_echelon`` on integer multiples of the rows.
+    ``linalg.int_echelon`` on integer multiples of the rows: the reduced
+    constraints with the new one appended, whose reduced form is carried
+    to the next draw when the row is kept.
     """
     rng = random.Random(seed)
     p = field.char
@@ -459,10 +461,10 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
     # row r constrains y through sum_c <r, e_c> y_c = 0, where <r, e_c> is
     # r[cbar] for c >= n and -r[cbar] below, cbar = 2n - 1 - c; a row is
     # independent of the others exactly when its constraint is
-    constraints: List[List[int]] = []
+    reduced: List[List[int]] = []
+    pivots: List[int] = []
     rows: List[Tuple[Scalar, ...]] = []
     while len(rows) < n:
-        reduced, pivots = linalg.int_echelon(constraints, p)
         free = [c for c in range(width) if c not in pivots]
         coeffs = [rng.randrange(p) if p else rng.randint(-9, 9) for _ in free]
         if not any(coeffs):
@@ -477,8 +479,9 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
         constraint = [cand[last - c] if c >= n else -cand[last - c] for c in range(width)]
         if p:
             cand, constraint = [x % p for x in cand], [x % p for x in constraint]
-        if len(linalg.int_echelon(constraints + [constraint], p)[1]) > len(constraints):
-            constraints.append(constraint)
+        grown = linalg.int_echelon(reduced + [constraint], p)
+        if len(grown[1]) > len(pivots):
+            reduced, pivots = grown
             rows.append(tuple(cand) if p else tuple(Fraction(x, d) for x in cand))
     lag = SubspaceBasis._reduced(n, field, tuple(rows))
     if not is_isotropic(lag):

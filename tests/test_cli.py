@@ -338,6 +338,18 @@ class TestExportLdpc:
         assert main(["export-ldpc", "--m", "14"]) == 3
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [["build", "--n", "3"], ["export-ldpc", "--m", "6"]])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_clean_exit(self, command, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+        assert main(command + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 1

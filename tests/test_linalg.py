@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,7 +20,15 @@ from lgplucker import (
     rank_report,
     row_space_equal,
 )
-from lgplucker.linalg import _matmul_mod, _row_space_mod, _rref_mod, independent_rows, int_echelon, nullspace_mod
+from lgplucker.linalg import (
+    _FOLD_ROWS,
+    _matmul_mod,
+    _row_space_mod,
+    _rref_mod,
+    independent_rows,
+    int_echelon,
+    nullspace_mod,
+)
 from conftest import bmatrix
 
 
@@ -307,3 +316,136 @@ class TestIntEchelon:
             assert all(not r[c] for i, r in enumerate(reduced) for c in pivots if c != pivots[i])
             if reduced:
                 assert row_space_equal(ExactMatrix.from_rows(reduced, field), ExactMatrix.from_rows(rows, field))
+
+
+def field_echelon(rows, field):
+    """Textbook Gaussian elimination on Field scalars, independent of
+    int_echelon: the first row that reaches each column is the pivot,
+    scaled to 1 and taken out of the rows below. Returns the echelon rows
+    and their pivot columns."""
+    rows = [[field.coerce(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        hit = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[k], rows[hit] = rows[hit], rows[k]
+        inv = field.inv(rows[k][c])
+        rows[k] = [field.mul(inv, x) for x in rows[k]]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def field_rref(rows, field):
+    """field_echelon with each pivot column then cleared from the rows above."""
+    echelon, pivots = field_echelon(rows, field)
+    for k in reversed(range(len(pivots))):
+        for j in range(k):
+            f = echelon[j][pivots[k]]
+            if f:
+                echelon[j] = [field.sub(x, field.mul(f, y)) for x, y in zip(echelon[j], echelon[k])]
+    return echelon, pivots
+
+
+def back_substitution_nullspace(rows, width, field):
+    """One nullspace vector per non-pivot column of field_echelon, in
+    column order: 1 there, 0 at the other non-pivot columns, and the
+    pivot entries by back substitution from the last pivot row up."""
+    echelon, pivots = field_echelon(rows, field)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        x = [field.zero] * width
+        x[free] = field.one
+        for row, c in reversed(list(zip(echelon, pivots))):
+            s = field.zero
+            for j in range(c + 1, width):
+                s = field.add(s, field.mul(row[j], x[j]))
+            x[c] = field.neg(s)
+        basis.append(x)
+    return basis
+
+
+def awkward_rows(rng, nrows, ncols):
+    """Small integers with zero rows, repeated rows and integer
+    combinations of earlier rows mixed in."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.55 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.choice([0, 0, 1, -1, rng.randint(-4, 4)]) for _ in range(ncols)])
+    return rows
+
+
+class TestFieldOracle:
+    """rank, independent_rows, nullspace and int_echelon against Gaussian
+    elimination written on Field operations alone."""
+
+    @pytest.mark.parametrize("p", [0, 2, 5, 2147483647])
+    def test_against_field_elimination(self, p):
+        field = QQ if p == 0 else GF(p)
+        rng = random.Random(100 + p)
+        for _ in range(60):
+            ncols = rng.randint(1, 8)
+            rows = awkward_rows(rng, rng.randint(0, 10), ncols)
+            # over QQ each row is divided by its own denominator: the
+            # exact matrix holds Fractions, int_echelon the integers
+            scales = [rng.randint(1, 4) if p == 0 else 1 for _ in rows]
+            exact = [[field.coerce(Fraction(x, s)) for x in r] for r, s in zip(rows, scales)]
+            m = ExactMatrix.from_rows(exact, field) if rows else ExactMatrix.zeros(0, ncols, field)
+
+            want_rows, want_pivots = field_rref(exact, field)
+            assert rank(m) == len(want_pivots)
+            picked, kept = [], []
+            for i, row in enumerate(exact):
+                if len(field_echelon(kept + [row], field)[1]) > len(kept):
+                    picked.append(i)
+                    kept.append(row)
+            assert independent_rows(m) == picked
+            assert nullspace(m) == back_substitution_nullspace(exact, ncols, field)
+
+            reduced, pivots = int_echelon(rows, p)
+            assert pivots == want_pivots
+            if p:
+                assert reduced == want_rows
+            else:
+                assert all(r[c] > 0 and gcd(*r) == 1 for r, c in zip(reduced, pivots))
+                assert [[Fraction(x, r[c]) for x in r] for r, c in zip(reduced, pivots)] == want_rows
+            sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
+            assert int_echelon(sparse, p) == ([{c: x for c, x in enumerate(r) if x} for r in reduced], pivots)
+
+
+class TestKernelsAgree:
+    @pytest.mark.parametrize("p", [2, 3, 2147483647])
+    @pytest.mark.parametrize("shape,rank_at", [
+        ((2 * _FOLD_ROWS + 50, 9), [(_FOLD_ROWS + 1, 2), (2 * _FOLD_ROWS + 50, 9)]),  # new pivots past a block
+        ((_FOLD_ROWS + 44, 12), [(_FOLD_ROWS + 44, 5)]),  # rank-deficient throughout
+        ((40, 8), [(40, 8)]),  # less than one block
+        ((5, 6), [(5, 0)]),  # all zero
+    ])
+    def test_int_echelon_is_the_folded_rref(self, p, shape, rank_at):
+        # the reduced row echelon form mod p is unique, so the two kernels
+        # must agree row for row
+        a = tall_matrix(random.Random(p + shape[1]), p, *shape, rank_at)
+        basis, pivots = _row_space_mod(a, p)
+        assert int_echelon(a.tolist(), p) == (basis.tolist(), pivots)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relation_nullspace_pinned_to_back_substitution(self, n):
+        b = bmatrix(n)
+        want = back_substitution_nullspace(b.bits.tolist(), b.shape[1], QQ)
+        assert nullspace(b.to_exact(QQ)) == want
