@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
 from math import comb
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -59,7 +58,7 @@ class IncidenceMatrix(linalg.BinaryMatrix):
         checked here."""
         if not isinstance(matrix, linalg.BinaryMatrix):
             matrix = linalg.binary_matrix(matrix)
-        self.rows, self.cols, self.row_supports = matrix.rows, matrix.cols, matrix.row_supports
+        self._set(matrix.rows, matrix.cols, matrix.indptr, matrix.indices)
         self.row_labels, self.col_labels = tuple(row_labels), tuple(col_labels)
         self.m = m
 
@@ -75,14 +74,21 @@ def incidence_matrix(m: int) -> IncidenceMatrix:
     """The atlas member L(m) for even m >= 2, labelled by its subsets."""
     if m < 2 or m % 2:
         raise ValueError(f"need an even m >= 2, got {m}")
-    rows = tuple(index_tuples((m - 2) // 2, m))
-    cols = tuple(index_tuples(m // 2, m))
-    col_index = {beta: j for j, beta in enumerate(cols)}
-    # alpha + {x} grows in lexicographic order with x, so each support is increasing
-    supports = [
-        [col_index[tuple(sorted(alpha + (x,)))] for x in range(1, m + 1) if x not in alpha] for alpha in rows
-    ]
-    return IncidenceMatrix(m, linalg.BinaryMatrix(len(rows), len(cols), supports), rows, cols)
+    k = m // 2
+    rows, cols = tuple(index_tuples(k - 1, m)), tuple(index_tuples(k, m))
+    alpha, c, q = tuple_array(rows, k - 1), binomials(m + 1), np.arange(k - 1)
+    ranks = np.empty((len(rows), m), dtype=np.int64)
+    for x in range(1, m + 1):
+        # the lexicographic rank of alpha + {x} (see combinatorics.binomials):
+        # an entry of alpha at position q moves to q + [alpha_q > x], x to #{alpha_q < x}
+        ranks[:, x - 1] = (
+            comb(m, k) - 1 - c[m - alpha, k - q - (alpha > x)].sum(axis=1) - c[m - x, k - (alpha < x).sum(axis=1)]
+        )
+    outside = np.ones((len(rows), m + 1), dtype=bool)
+    outside[np.arange(len(rows))[:, None], alpha] = False
+    # alpha + {x} grows in lexicographic order with x, so each row's columns increase
+    indptr = np.arange(len(rows) + 1) * (k + 1)
+    return IncidenceMatrix(m, linalg.BinaryMatrix(len(rows), len(cols), csr=(indptr, ranks[outside[:, 1:]])), rows, cols)
 
 
 def atlas(n: int) -> List[IncidenceMatrix]:
@@ -118,24 +124,24 @@ class RegularityReport:
 def check_regularity(mat: IncidenceMatrix) -> RegularityReport:
     """Verify the regularity and sparsity pattern of an incidence matrix."""
     r = r_value(mat.m)
-    failures: List[str] = []
-    for i, w in enumerate(mat.row_weights()):
-        if w != r:
-            failures.append(f"row {mat.row_labels[i]} has weight {w}, expected {r}")
-    for j, w in enumerate(mat.column_weights()):
-        if w != r - 1:
-            failures.append(f"column {mat.col_labels[j]} has weight {w}, expected {r - 1}")
-    overlap = 0
-    if mat.rows > 1:
-        bits = mat.bits.astype(np.int64)
-        gram = bits @ bits.T
-        np.fill_diagonal(gram, 0)
-        overlap = int(gram.max())
-        if overlap > 1:
-            i, j = np.unravel_index(int(gram.argmax()), gram.shape)
-            failures.append(
-                f"rows {mat.row_labels[int(i)]} and {mat.row_labels[int(j)]} share {overlap} columns"
-            )
+    row_w, col_w = np.diff(mat.indptr), np.bincount(mat.indices, minlength=mat.cols)
+    failures = [f"row {mat.row_labels[i]} has weight {row_w[i]}, expected {r}" for i in np.flatnonzero(row_w != r)]
+    failures += [
+        f"column {mat.col_labels[j]} has weight {col_w[j]}, expected {r - 1}" for j in np.flatnonzero(col_w != r - 1)
+    ]
+    # the rows two columns share: each pair (i < j) of rows in a column
+    # list, coded i * rows + j, counted over the columns
+    colptr, col_rows = mat.csc()
+    col = np.repeat(np.arange(mat.cols), col_w)
+    pairs = [np.zeros(0, dtype=np.int64)] + [
+        (col_rows[:-d] * mat.rows + col_rows[d:])[col[:-d] == col[d:]] for d in range(1, int(col_w.max(initial=0)))
+    ]
+    codes, shared = np.unique(np.concatenate(pairs), return_counts=True)
+    overlap = int(shared.max(initial=0))
+    if overlap > 1:
+        # the first maximal pair in row-major order has the least code
+        i, j = divmod(int(codes[shared.argmax()]), mat.rows)
+        failures.append(f"rows {mat.row_labels[i]} and {mat.row_labels[j]} share {overlap} columns")
     density = Fraction(r, comb(mat.m, mat.m // 2))
     return RegularityReport(
         m=mat.m,
@@ -176,15 +182,10 @@ def verify_block_equiv(block: IncidenceMatrix, reference: IncidenceMatrix) -> Tu
         raise BlockEquivalenceError(f"relabeled subset {exc} missing from the reference") from exc
     if len(set(col_perm)) < len(col_perm):
         raise BlockEquivalenceError("two block columns carry the same label")
-    # col_perm is a bijection, so row i matches exactly when col_perm
-    # carries its columns onto those of reference row row_perm[i]
-    for i, (have, r) in enumerate(zip(block.row_supports, row_perm)):
-        want = reference.row_supports[r]
-        if tuple(sorted(col_perm[j] for j in have)) != want:
-            j = next(j for j in range(block.cols) if (j in have) != (col_perm[j] in want))
-            raise BlockEquivalenceError(
-                f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}"
-            )
+    differ = block.bits != reference.bits[np.ix_(row_perm, col_perm)]
+    if differ.any():
+        i, j = divmod(int(differ.argmax()), block.cols)
+        raise BlockEquivalenceError(f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}")
     return row_perm, col_perm
 
 
@@ -212,8 +213,9 @@ class BlockDecomposition:
     ``references`` maps each m that occurs to the atlas member L(m) its
     blocks were checked against, and ``counts`` maps it to the number of
     those blocks. ``blocks`` lists them in first-seen order of their free
-    parts; it is built from ``matrix`` when first read, as the census and
-    the rank need only the counts.
+    parts; it is built when first read, from the classes and label
+    positions of ``matrix`` that ``decompose`` checked, computed again,
+    as the census and the rank need only the counts.
     """
 
     n: int
@@ -224,7 +226,7 @@ class BlockDecomposition:
 
     @cached_property
     def blocks(self) -> List[Block]:
-        return list(_class_blocks(self.matrix, self.references))
+        return _array_blocks(self.matrix, _classes(self.matrix, self.references))
 
     def census(self) -> Dict[str, int]:
         """Multiplicity of each atlas label, largest first."""
@@ -242,31 +244,30 @@ class BlockDecomposition:
         return sum(c * linalg.rank(self.references[m].to_exact(field)) for m, c in self.counts.items())
 
 
-def _class_blocks(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> Iterator[Block]:
-    """The blocks of b one class of rows at a time, in first-seen order of
-    their free parts, each checked by verify_block_equiv against
-    references[m] (added when missing). Raises DecompositionError at the
-    first column claimed by two classes or the first block that fails."""
+def _class_blocks(b: PlueckerMatrix) -> None:
+    """decompose's checks one class of rows at a time, in first-seen order
+    of their free parts, each block by verify_block_equiv: raises
+    DecompositionError at the first column claimed by two classes or the
+    first block that fails, naming the witness."""
     n = b.n
+    supports = b.row_supports
     classes: Dict[IndexTuple, List[int]] = {}
-    shared: Dict[PairTuple, PairTuple] = {}  # one tuple per distinct label, for all the blocks
 
     def label(t: IndexTuple, paired: List[bool]) -> PairTuple:
-        lows = tuple([x for x, p in zip(t, paired) if p and x <= n])
-        return shared.setdefault(lows, lows)
+        return tuple([x for x, p in zip(t, paired) if p and x <= n])
 
     row_paired = paired_entries(tuple_array(b.row_tuples, n - 2), n).tolist()
     for i, (t, pt) in enumerate(zip(b.row_tuples, row_paired)):
         classes.setdefault(tuple([x for x, p in zip(t, pt) if not p]), []).append(i)
     row_labels = list(map(label, b.row_tuples, row_paired))
-    del row_paired
     col_labels = list(map(label, b.col_tuples, paired_entries(tuple_array(b.col_tuples, n), n).tolist()))
     owner: List[IndexTuple | None] = [None] * len(b.col_tuples)
+    references: Dict[int, IncidenceMatrix] = {}
     for free, rows_idx in classes.items():
         m = n - len(free)
         if m not in references:
             references[m] = incidence_matrix(m)
-        col_idx = sorted({j for i in rows_idx for j in b.row_supports[i]})
+        col_idx = sorted({j for i in rows_idx for j in supports[i]})
         for j in col_idx:
             if owner[j] is not None:
                 raise DecompositionError(
@@ -274,37 +275,35 @@ def _class_blocks(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> 
                 )
             owner[j] = free
         col_pos = {j: k for k, j in enumerate(col_idx)}
-        supports = [[col_pos[j] for j in b.row_supports[i]] for i in rows_idx]
         mat = IncidenceMatrix(
             m,
-            linalg.BinaryMatrix(len(rows_idx), len(col_idx), supports),
+            linalg.BinaryMatrix(len(rows_idx), len(col_idx), [[col_pos[j] for j in supports[i]] for i in rows_idx]),
             tuple(row_labels[i] for i in rows_idx),
             tuple(col_labels[j] for j in col_idx),
         )
-        row_perm, col_perm = verify_block_equiv(mat, references[m])
-        row_tuples, col_tuples = tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx)
-        yield Block(free, m, row_tuples, col_tuples, mat, row_perm, col_perm)
+        verify_block_equiv(mat, references[m])
 
 
-def decompose(b: PlueckerMatrix) -> BlockDecomposition:
-    """Split the relation matrix into its incidence blocks and verify each.
+class _Classes(NamedTuple):
+    """B's rows grouped by free part and the columns each group touches,
+    as int arrays, with the position of every label in its L(m)."""
 
-    Rows are grouped by the free part of their tuple; a class with free
-    part of size t restricts to the columns it touches as a copy of the
-    atlas member for m = n - t, checked bit for bit through the canonical
-    pair renumbering. No column may be touched by two classes, every
-    column left over must contain no complete pair, and the block widths
-    plus the zero columns must add up to C(2n, n): B is then the direct
-    sum of its blocks and the zero columns.
+    count: int  # the number of classes, numbered in first-seen order of their free parts
+    m: np.ndarray  # the m of each class, then 2n for the columns no row touches
+    cls: np.ndarray  # the class of each row
+    owner: np.ndarray  # the class of each column, count for none
+    ranks: Tuple[np.ndarray, np.ndarray] | None  # row and column positions; None if a check failed
+    tuples: Tuple[np.ndarray, np.ndarray]  # B's row and column tuples as arrays
+    paired: Tuple[np.ndarray, np.ndarray]  # True at each entry of a complete pair in them
 
-    The checks run on int arrays over all classes at once; should one
-    fail, the classes are gone through one by one with
-    ``verify_block_equiv``, which names the witness.
-    """
+
+def _classes(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _Classes:
+    """verify_block_equiv's checks for all the classes of rows of b at
+    once, on int arrays, against references[m] (added when missing)."""
     n = b.n
     rows, cols = tuple_array(b.row_tuples, n - 2), tuple_array(b.col_tuples, n)
-    row_paired = paired_entries(rows, n)
-    row_low, col_low = row_paired & (rows <= n), paired_entries(cols, n) & (cols <= n)
+    row_paired, col_paired = paired_entries(rows, n), paired_entries(cols, n)
+    row_low, col_low = row_paired & (rows <= n), col_paired & (cols <= n)
     classes: Dict[int, int] = {}  # free-part bitmask -> class, in first-seen order
     free_masks = np.where(row_paired, 0, 1 << rows).sum(axis=1).tolist()
     cls = np.array([classes.setdefault(f, len(classes)) for f in free_masks], dtype=np.int64)
@@ -313,14 +312,13 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     k_all = len(classes)
     m = np.array([n - f.bit_count() for f in classes] + [2 * n])
     half = m >> 1
-    counts = dict(Counter(m[:k_all].tolist()))
-    references = {mm: incidence_matrix(mm) for mm in counts}
+    for mm in dict.fromkeys(m[:k_all].tolist()):
+        if mm not in references:
+            references[mm] = incidence_matrix(mm)
 
     # a column belongs to the class whose rows touch it; an entry of
     # another class in it is a second claimant
-    weights = np.fromiter(map(len, b.row_supports), np.int64, count=len(b.row_supports))
-    e_col = np.fromiter(chain.from_iterable(b.row_supports), np.int64, count=int(weights.sum()))
-    e_row = np.repeat(np.arange(len(cls)), weights)
+    e_col, e_row = b.indices, b.row_ids()
     owner = np.full(len(cols), k_all)
     owner[e_col] = cls[e_row]
     own = owner < k_all
@@ -340,12 +338,13 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
         and (lows.sum(axis=1) == m)[:k_all].all()
         and (lows[cls[:, None], rows] | ~row_low).all()
         and ((col_low.sum(axis=1) == half[owner]) | ~own).all()
-        and (weights == half[cls] + 1).all()
+        and (np.diff(b.indptr) == half[cls] + 1).all()
     )
+    ranks = None
     if fits:
         ren = lows.cumsum(axis=1)
 
-        def ranks(arr, low, k, size):
+        def positions(arr, low, k, size):
             # tuple_rank's closed form on the renumbered labels, one position at a time
             out, left = table[m[k], size] - 1, size + 1
             for q in range(arr.shape[1]):
@@ -353,26 +352,87 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
                 out -= np.where(low[:, q], table[m[k] - ren[k, arr[:, q]], left], 0)
             return out
 
-        row_rank, col_rank = ranks(rows, row_low, cls, half[cls] - 1), ranks(cols, col_low, owner, half[owner])
+        row_rank, col_rank = positions(rows, row_low, cls, half[cls] - 1), positions(cols, col_low, owner, half[owner])
         # ... no two columns of a class with one label ...
         width = table[m[:k_all], half[:k_all]]
         seen = np.zeros(int(width.sum()), dtype=bool)
         seen[(np.cumsum(width) - width)[owner[own]] + col_rank[own]] = True
         # ... and each one of B at a one of the reference
         e_m = m[cls[e_row]]
-        fits = seen.all() and all(
-            ref.bits[row_rank[e_row[e_m == mm]], col_rank[e_col[e_m == mm]]].all() for mm, ref in references.items()
+        if seen.all() and all(
+            references[mm].bits[row_rank[e_row[e_m == mm]], col_rank[e_col[e_m == mm]]].all() for mm in references
+        ):
+            ranks = (row_rank, col_rank)
+    return _Classes(k_all, m, cls, owner, ranks, (rows, cols), (row_paired, col_paired))
+
+
+def _array_blocks(b: PlueckerMatrix, c: _Classes) -> List[Block]:
+    """The blocks of b, in first-seen order of their free parts, from the
+    classes, owners and label positions of a checked _Classes."""
+    (row_rank, col_rank), (rows, cols), (row_paired, col_paired) = c.ranks, c.tuples, c.paired
+    shared: Dict[PairTuple, PairTuple] = {}  # one tuple per distinct label, for all the blocks
+
+    def nonzero_tuples(arr: np.ndarray) -> List[tuple]:
+        return [shared.setdefault(t, t) for t in map(tuple, map(partial(filter, None), arr.tolist()))]
+
+    # rows and columns sorted by class, each class in B's order
+    rorder, corder = np.argsort(c.cls, kind="stable"), np.argsort(c.owner, kind="stable")
+    rstart, cstart = (np.concatenate(([0], np.cumsum(np.bincount(x, minlength=c.count + 1)))) for x in (c.cls, c.owner))
+    local = np.empty(b.cols, dtype=np.int64)  # a column's place among its class's columns
+    local[corder] = np.arange(b.cols) - cstart[c.owner[corder]]
+    weights = np.diff(b.indptr)[rorder]
+    ptr = np.concatenate(([0], np.cumsum(weights)))
+    ones = local[b.indices[np.repeat(b.indptr[rorder] - ptr[:-1], weights) + np.arange(ptr[-1])]]
+    # each class's indptr, one after the other: class k's starts at rstart[k] + k
+    indptr = np.zeros(b.rows + c.count, dtype=np.int64)
+    cls = c.cls[rorder]
+    indptr[np.arange(b.rows) + cls + 1] = ptr[1:] - ptr[rstart[cls]]
+    ones.flags.writeable = indptr.flags.writeable = False
+    row_t, col_t = [b.row_tuples[i] for i in rorder.tolist()], [b.col_tuples[j] for j in corder.tolist()]
+    row_l = nonzero_tuples(np.where(row_paired & (rows <= b.n), rows, 0)[rorder])
+    col_l = nonzero_tuples(np.where(col_paired & (cols <= b.n), cols, 0)[corder])
+    free = nonzero_tuples(np.where(row_paired, 0, rows)[rorder[rstart[: c.count]]])
+    row_p, col_p = row_rank[rorder].tolist(), col_rank[corder].tolist()
+    rs, cs, ps = rstart.tolist(), cstart.tolist(), ptr.tolist()
+    out = []
+    for k, m in enumerate(c.m[: c.count].tolist()):
+        r0, r1, c0, c1 = rs[k], rs[k + 1], cs[k], cs[k + 1]
+        mat = IncidenceMatrix._checked(
+            r1 - r0, c1 - c0, indptr[r0 + k : r1 + k + 1], ones[ps[r0] : ps[r1]], tuple(row_l[r0:r1]), tuple(col_l[c0:c1])
         )
-    if not fits:
-        for _ in _class_blocks(b, {}):  # raises at the first class that fails
-            pass
-    uncovered = ~own
-    stray = np.flatnonzero(uncovered & col_low.any(axis=1))
+        mat.m = m
+        out.append(Block(free[k], m, tuple(row_t[r0:r1]), tuple(col_t[c0:c1]), mat, tuple(row_p[r0:r1]), tuple(col_p[c0:c1])))
+    return out
+
+
+def decompose(b: PlueckerMatrix) -> BlockDecomposition:
+    """Split the relation matrix into its incidence blocks and verify each.
+
+    Rows are grouped by the free part of their tuple; a class with free
+    part of size t restricts to the columns it touches as a copy of the
+    atlas member for m = n - t, checked bit for bit through the canonical
+    pair renumbering. No column may be touched by two classes, every
+    column left over must contain no complete pair, and the block widths
+    plus the zero columns must add up to C(2n, n): B is then the direct
+    sum of its blocks and the zero columns.
+
+    The checks run on int arrays over all classes at once; should one
+    fail, the classes are gone through one by one with
+    ``verify_block_equiv``, which names the witness.
+    """
+    n = b.n
+    references: Dict[int, IncidenceMatrix] = {}
+    c = _classes(b, references)
+    if c.ranks is None:
+        _class_blocks(b)  # raises at the first class that fails
+    uncovered = c.owner == c.count
+    stray = np.flatnonzero(uncovered & c.paired[1].any(axis=1))
     if stray.size:
         raise DecompositionError(f"uncovered column {b.col_tuples[stray[0]]} contains a complete pair")
     zero_cols = tuple(b.col_tuples[j] for j in np.flatnonzero(uncovered).tolist())
-    if len(cols) != comb(2 * n, n):
+    if b.cols != comb(2 * n, n):
         raise DecompositionError(
-            f"{len(cols) - len(zero_cols)} block columns and {len(zero_cols)} zero columns, expected {comb(2 * n, n)} in all"
+            f"{b.cols - len(zero_cols)} block columns and {len(zero_cols)} zero columns, expected {comb(2 * n, n)} in all"
         )
+    counts = dict(Counter(c.m[: c.count].tolist()))
     return BlockDecomposition(n, zero_cols, references, counts, b)

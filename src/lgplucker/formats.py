@@ -29,17 +29,25 @@ JSON layout: an object with "rows", "cols", "nnz" and the row-major 1-based
 from __future__ import annotations
 
 import json
-from typing import List
+from itertools import chain
+from typing import List, Tuple
+
+import numpy as np
 
 from .errors import PARSE_CAP
-from .linalg import BinaryMatrix, binary_matrix as matrix_data
+from .linalg import BinaryMatrix, binary_matrix as matrix_data, int_array, padded_rows
+
+
+def _lines(table: np.ndarray) -> str:
+    """Each row of an int table as a line of space-separated integers."""
+    line = " ".join(["%d"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_coord(data) -> str:
     data = matrix_data(data)
-    lines = [f"{data.rows} {data.cols} {data.nnz}"]
-    lines.extend(f"{r + 1} {c + 1}" for r, c in data.entries)
-    return "\n".join(lines) + "\n"
+    entries = np.stack([data.row_ids(), data.indices], axis=1) + 1
+    return f"{data.rows} {data.cols} {data.nnz}\n" + _lines(entries)
 
 
 def _line_ints(number: int, line: str, count: int) -> List[int]:
@@ -51,6 +59,31 @@ def _line_ints(number: int, line: str, count: int) -> List[int]:
         return [int(x) for x in tokens]
     except ValueError:
         raise ValueError(f"line {number}: non-integer token in {line!r}") from None
+
+
+def _int_or_none(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+def _int_table(lines: List[str], width: int) -> Tuple[np.ndarray, int]:
+    """The integer tokens of the lines before the first that is not width
+    integers, as the rows of a table, and the index of that line
+    (len(lines) if none); _line_ints names what is wrong with it."""
+    split = list(map(str.split, lines))
+    counts = np.fromiter(map(len, split), np.int64, count=len(split))
+    wrong = counts != (width if 0 <= width <= counts.max(initial=0) else -1)
+    first = int(wrong.argmax()) if wrong.any() else len(lines)
+    tokens = list(chain.from_iterable(split[:first]))
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = list(map(_int_or_none, tokens))
+        first = values.index(None) // width
+        values = values[: first * width]
+    return int_array(values).reshape(first, max(width, 0)), first
 
 
 def _declared(rows: int, cols: int) -> None:
@@ -65,58 +98,59 @@ def parse_coord(text: str) -> BinaryMatrix:
         raise ValueError("empty coordinate file")
     rows, cols, nnz = _line_ints(1, lines[0], 3)
     _declared(rows, cols)
-    entries = []
-    for number, ln in enumerate(lines[1:], 2):
-        r, c = _line_ints(number, ln, 2)
-        entries.append((r - 1, c - 1))
+    entries, first = _int_table(lines[1:], 2)
+    if first < len(lines) - 1:
+        _line_ints(first + 2, lines[first + 1], 2)  # raises
     if len(entries) != nnz:
         raise ValueError(f"header promises {nnz} entries, found {len(entries)}")
-    return BinaryMatrix.from_entries(rows, cols, entries)
+    return BinaryMatrix.from_entries(rows, cols, entries - 1)
 
 
 def write_alist(data) -> str:
     data = matrix_data(data)
-    col_lists = data.col_lists()
-    col_w = [len(x) for x in col_lists]
-    row_w = data.row_weights()
-    max_col_w = max(col_w, default=0)
-    max_row_w = max(row_w, default=0)
-    lines = [
+    colptr, col_rows = data.csc()
+    col_w, row_w = np.diff(colptr), np.diff(data.indptr)
+    head = [
         f"{data.cols} {data.rows}",
-        f"{max_col_w} {max_row_w}",
-        " ".join(str(w) for w in col_w),
-        " ".join(str(w) for w in row_w),
+        f"{col_w.max(initial=0)} {row_w.max(initial=0)}",
+        " ".join(map(str, col_w.tolist())),
+        " ".join(map(str, row_w.tolist())),
     ]
-    for idxs in col_lists:
-        padded = [i + 1 for i in idxs] + [0] * (max_col_w - len(idxs))
-        lines.append(" ".join(str(x) for x in padded))
-    for idxs in data.row_supports:
-        padded = [i + 1 for i in idxs] + [0] * (max_row_w - len(idxs))
-        lines.append(" ".join(str(x) for x in padded))
-    return "\n".join(lines) + "\n"
+    col_lines, row_lines = padded_rows(colptr, col_rows + 1, 0), padded_rows(data.indptr, data.indices + 1, 0)
+    return "\n".join(head) + "\n" + _lines(col_lines) + _lines(row_lines)
 
 
-def _adjacency_lines(
+def _adjacency(
     lines: List[str], start: int, weights: List[int], width: int, bound: int, kind: str, other: str
-) -> List[List[int]]:
-    """The nonzero indices of each alist line from lines[start] on, one per
-    weight, made 0-based; each line lists them increasing, then its padding."""
-    out = []
-    for k, weight in enumerate(weights):
-        number = start + k + 1
-        values = _line_ints(number, lines[start + k], width)
-        live = [x for x in values if x != 0]
-        if len(live) != weight:
-            raise ValueError(f"{kind} {k + 1} line disagrees with its weight")
-        if values[:weight] != live:
-            raise ValueError(f"line {number}: padding 0 before a nonzero {other} index")
-        if any(a >= b for a, b in zip(live, live[1:])):
-            raise ValueError(f"line {number}: {kind} {k + 1} repeats a {other} index or lists them out of order")
-        for x in live:
-            if not 1 <= x <= bound:
-                raise ValueError(f"{other} index {x} outside [1, {bound}]")
-        out.append([x - 1 for x in live])
-    return out
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays (0-based) of the alist lines from lines[start] on, one
+    per weight. Each line must list its weight of nonzero indices,
+    increasing inside [1, bound], then its padding; the first line that
+    does not raises, naming the first of these rules it breaks."""
+    block = lines[start : start + len(weights)]
+    table, first = _int_table(block, width)
+    w = int_array(weights[:first])[:, None]
+    live = table != 0
+    inside = np.arange(table.shape[1]) < w
+    out = live & ((table < 1) | (table > bound))
+    checks = [
+        (live.sum(axis=1) != w[:, 0], lambda k: f"{kind} {k + 1} line disagrees with its weight"),
+        ((inside & ~live).any(axis=1), lambda k: f"line {start + k + 1}: padding 0 before a nonzero {other} index"),
+        (
+            ((table[:, 1:] <= table[:, :-1]) & inside[:, 1:]).any(axis=1),
+            lambda k: f"line {start + k + 1}: {kind} {k + 1} repeats a {other} index or lists them out of order",
+        ),
+        (out.any(axis=1), lambda k: f"{other} index {table[k, out[k].argmax()]} outside [1, {bound}]"),
+    ]
+    failing = np.any([bad for bad, _ in checks], axis=0)
+    if failing.any():
+        k = int(failing.argmax())
+        raise ValueError(next(message(k) for bad, message in checks if bad[k]))
+    if first < len(block):
+        _line_ints(start + first + 1, block[first], width)  # raises
+    indptr = np.zeros(len(weights) + 1, dtype=np.int64)
+    np.cumsum(w[:, 0], out=indptr[1:])
+    return indptr, table[live].astype(np.int64) - 1
 
 
 def parse_alist(text: str) -> BinaryMatrix:
@@ -137,23 +171,21 @@ def parse_alist(text: str) -> BinaryMatrix:
     for number, ln in enumerate(lines[last:], last + 1):
         if ln.strip():
             raise ValueError(f"line {number}: content after the last row line")
-    col_lists = _adjacency_lines(lines, 4, col_w, max_col_w, rows, "column", "row")
-    row_lists = _adjacency_lines(lines, 4 + cols, row_w, max_row_w, cols, "row", "column")
-    data = BinaryMatrix(rows, cols, row_lists)
-    if data.col_lists() != col_lists:
+    colptr, col_rows = _adjacency(lines, 4, col_w, max_col_w, rows, "column", "row")
+    data = BinaryMatrix(rows, cols, csr=_adjacency(lines, 4 + cols, row_w, max_row_w, cols, "row", "column"))
+    have_ptr, have_rows = data.csc()
+    if not (np.array_equal(have_ptr, colptr) and np.array_equal(have_rows, col_rows)):
         raise ValueError("row and column adjacency lists disagree")
     return data
 
 
 def write_json(data) -> str:
+    # json.dumps(sort_keys=True, separators=(",", ": "), indent=1), written out
     data = matrix_data(data)
-    doc = {
-        "rows": data.rows,
-        "cols": data.cols,
-        "nnz": data.nnz,
-        "entries": [[r + 1, c + 1] for r, c in data.entries],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    entries = np.stack([data.row_ids(), data.indices], axis=1) + 1
+    listed = ",\n".join(["  [\n   %d,\n   %d\n  ]"] * data.nnz) % tuple(entries.ravel().tolist())
+    listed = f"[\n{listed}\n ]" if data.nnz else "[]"
+    return f'{{\n "cols": {data.cols},\n "entries": {listed},\n "nnz": {data.nnz},\n "rows": {data.rows}\n}}\n'
 
 
 def _json_int(value, what: str) -> int:
@@ -173,17 +205,21 @@ def parse_json(text: str) -> BinaryMatrix:
     extra = sorted(set(doc) - {"rows", "cols", "nnz", "entries"})
     if extra:
         raise ValueError(f"unexpected keys {extra}")
-    if not isinstance(doc["entries"], list):
+    pairs = doc["entries"]
+    if not isinstance(pairs, list):
         raise ValueError("entries must be a list")
-    entries = []
-    for pair in doc["entries"]:
+    fine = set(map(type, pairs)) <= {list} and (np.fromiter(map(len, pairs), np.int64, count=len(pairs)) == 2).all()
+    flat = list(chain.from_iterable(pairs)) if fine else []
+    if not fine or not set(map(type, flat)) <= {int}:
+        bad = [not (type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int) for p in pairs]
+        pair = pairs[bad.index(True)]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"entry {pair!r} is not a [row, col] pair")
-        r, c = (_json_int(x, "entry index") for x in pair)
-        entries.append((r - 1, c - 1))
+        for x in pair:
+            _json_int(x, "entry index")
     rows, cols, nnz = (_json_int(doc[key], key) for key in ("rows", "cols", "nnz"))
     _declared(rows, cols)
-    data = BinaryMatrix.from_entries(rows, cols, entries)
+    data = BinaryMatrix.from_entries(rows, cols, int_array(flat) - 1)
     if data.nnz != nnz:
         raise ValueError("nnz field disagrees with the entry list")
     return data

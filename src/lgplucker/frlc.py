@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import islice
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -75,8 +74,8 @@ class PlueckerMatrix(linalg.BinaryMatrix):
 
     __slots__ = ("n", "_padded")
 
-    def __init__(self, n: int, row_tuples: List[IndexTuple], col_tuples: List[IndexTuple], row_supports: List[Tuple[int, ...]]):
-        super().__init__(len(row_tuples), len(col_tuples), row_supports, row_tuples, col_tuples)
+    def __init__(self, n: int, row_tuples: List[IndexTuple], col_tuples: List[IndexTuple], row_supports=None, *, csr=None):
+        super().__init__(len(row_tuples), len(col_tuples), row_supports, row_tuples, col_tuples, csr=csr)
         self.n = n
         self._padded = None
 
@@ -90,7 +89,7 @@ class PlueckerMatrix(linalg.BinaryMatrix):
         Both sides of the twist are folded in: the column coordinates of w
         and the row coordinates of the output are read in the
         pair-adjacent system, which is exactly what keeps this matrix 0/1.
-        The row sums are one gather over the row supports, padded to the
+        The row sums are one gather over the rows' columns, padded to the
         widest row with a column past the last that reads 0, built on the
         first call. Over QQ they run on the integer numerators of w over
         their common denominator.
@@ -98,9 +97,7 @@ class PlueckerMatrix(linalg.BinaryMatrix):
         if w.n != self.n or w.grade != self.n:
             raise ValueError(f"expected a grade-{self.n} vector over 2n = {2 * self.n}")
         if self._padded is None:
-            width = max(map(len, self.row_supports), default=0)
-            padded = [s + (self.cols,) * (width - len(s)) for s in self.row_supports]
-            self._padded = np.array(padded, dtype=np.intp).reshape(self.rows, width)
+            self._padded = linalg.padded_rows(self.indptr, self.indices, self.cols)
         p = w.field.char
         x, d = w.numerators()
         x = np.append(x * coordinates(self.n, self.n).signs, 0)
@@ -146,13 +143,10 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
         )
         disjoint[:, i - 1] = ((g != i) & (g != ibar)).all(axis=1)
     # gamma + {i, ibar} grows in lexicographic order with i, so each row
-    # lists its columns in increasing order; they are the int objects of
-    # the column table's position map, which B then shares
-    cols = coordinates(n, n)
-    shared = list(cols.position.values())
-    flat = map(shared.__getitem__, ranks[disjoint])
-    supports = [tuple(islice(flat, w)) for w in disjoint.sum(axis=1).tolist()]
-    return PlueckerMatrix(n, row_tuples, cols.tuples, supports)
+    # lists its columns in increasing order
+    indptr = np.zeros(len(g) + 1, dtype=np.int64)
+    np.cumsum(disjoint.sum(axis=1), out=indptr[1:])
+    return PlueckerMatrix(n, row_tuples, coordinates(n, n).tuples, csr=(indptr, ranks[disjoint]))
 
 
 def row_weight_law(gamma: IndexTuple, n: int) -> int:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd
-from operator import lt
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -104,46 +104,96 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
+def int_array(values: Sequence[int]) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array of the same
+    ints when one does not fit in int64, so that comparisons stay exact."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 class BinaryMatrix:
-    """0/1 matrix: its shape, the strictly increasing columns of the ones
-    in each row (``row_supports``), and optional row and column labels.
+    """0/1 matrix: its shape, the columns of its ones in compressed sparse
+    rows, and optional row and column labels.
+
+    ``indices`` lists the columns of the ones row by row, each row's
+    strictly increasing; row i's are ``indices[indptr[i]:indptr[i + 1]]``.
+    Both are read-only int64 arrays, checked once, here. The ones are given
+    as row supports (column sequences) or as ``csr=(indptr, indices)``.
 
     The relation matrix B(n), its blocks, the atlas members L(m) and the
-    parsed file formats are all of this kind. The supports are checked
-    once, here; the dense view ``bits`` is built on each access.
+    parsed file formats are all of this kind. The views ``row_supports``
+    (tuples) and ``bits`` (dense) are built on each access.
     """
 
-    __slots__ = ("rows", "cols", "row_supports", "row_labels", "col_labels")
+    __slots__ = ("rows", "cols", "indptr", "indices", "row_labels", "col_labels")
 
-    def __init__(self, rows: int, cols: int, row_supports: Iterable[Sequence[int]], row_labels=None, col_labels=None):
+    def __init__(self, rows: int, cols: int, row_supports=None, row_labels=None, col_labels=None, *, csr=None):
         if rows < 0 or cols < 0:
             raise ValueError(f"negative dimensions {rows}x{cols}")
-        row_supports = tuple(map(tuple, row_supports))
-        if len(row_supports) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(row_supports)}")
-        for i, s in enumerate(row_supports):
-            if s and not (0 <= s[0] and s[-1] < cols and all(map(lt, s, s[1:]))):
-                raise ValueError(f"row {i}: columns {s} do not strictly increase inside [0, {cols})")
-        self.rows = rows
-        self.cols = cols
-        self.row_supports = row_supports
+        if csr is None:
+            supports = list(row_supports)
+            indptr = np.zeros(len(supports) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, supports), np.int64, count=len(supports)), out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(supports), np.int64, count=int(indptr[-1]))
+        else:
+            indptr, indices = (np.asarray(a, dtype=np.int64) for a in csr)
+        if len(indptr) != rows + 1:
+            raise ValueError(f"expected {rows} rows, got {len(indptr) - 1}")
+        if indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError("indptr must rise from 0 to the number of ones")
+        # a one outside [0, cols), or not above the one before it in its row
+        row_of = np.searchsorted(indptr, np.arange(len(indices)), side="right") - 1
+        bad = (indices < 0) | (indices >= cols)
+        bad[1:] |= (indices[1:] <= indices[:-1]) & (row_of[1:] == row_of[:-1])
+        if bad.any():
+            i = int(row_of[bad.argmax()])
+            s = tuple(indices[indptr[i] : indptr[i + 1]].tolist())
+            raise ValueError(f"row {i}: columns {s} do not strictly increase inside [0, {cols})")
+        self._set(rows, cols, indptr, indices)
         self.row_labels = None if row_labels is None else tuple(row_labels)
         self.col_labels = None if col_labels is None else tuple(col_labels)
 
+    def _set(self, rows: int, cols: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+        # read-only views, so that the checked arrays stay as they were checked
+        self.rows, self.cols = rows, cols
+        self.indptr, self.indices = _read_only(indptr), _read_only(indices)
+
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Iterable[Tuple[int, int]]) -> "BinaryMatrix":
+    def _checked(cls, rows: int, cols: int, indptr: np.ndarray, indices: np.ndarray, row_labels=None, col_labels=None):
+        """The matrix on CSR arrays that are already known to pass the
+        checks of ``__init__``, which are not run again; a subclass's own
+        fields are left to the caller."""
+        self = object.__new__(cls)
+        self._set(rows, cols, indptr, indices)
+        self.row_labels, self.col_labels = row_labels, col_labels
+        return self
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries) -> "BinaryMatrix":
         """The unlabelled matrix with ones at the 0-based (row, column)
-        entries, which must come in strictly increasing row-major order."""
-        supports: Dict[int, List[int]] = {}
-        last = (-1, -1)
-        for k, (r, c) in enumerate(entries, 1):
-            if (r, c) <= last:
-                raise ValueError(f"entry {k} does not follow entry {k - 1} in row-major order")
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r}, {c}) outside {rows}x{cols}")
-            supports.setdefault(r, []).append(c)
-            last = (r, c)
-        return cls(rows, cols, [supports.get(i, ()) for i in range(rows)])
+        entries, an (nnz, 2) array or pairs, which must come in strictly
+        increasing row-major order."""
+        if not isinstance(entries, np.ndarray):
+            entries = int_array(list(chain.from_iterable(entries)))
+        r, c = entries.reshape(-1, 2).T
+        prev_r, prev_c = np.append(-1, r[:-1]), np.append(-1, c[:-1])
+        behind = (r < prev_r) | ((r == prev_r) & (c <= prev_c))
+        bad = behind | (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        if bad.any():
+            k = int(bad.argmax())
+            if behind[k]:
+                raise ValueError(f"entry {k + 1} does not follow entry {k} in row-major order")
+            raise ValueError(f"entry ({r[k]}, {c[k]}) outside {rows}x{cols}")
+        return cls(rows, cols, csr=(np.searchsorted(r, np.arange(max(rows + 1, 0))), c))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -151,62 +201,94 @@ class BinaryMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(map(len, self.row_supports))
+        return len(self.indices)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each one, in the order of ``indices``."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr))
+
+    @property
+    def row_supports(self) -> Tuple[Tuple[int, ...], ...]:
+        """The strictly increasing columns of the ones in each row."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def entries(self) -> Tuple[Tuple[int, int], ...]:
         """The 0-based (row, column) positions of the ones, in row-major order."""
-        return tuple((i, j) for i, s in enumerate(self.row_supports) for j in s)
+        return tuple(zip(self.row_ids().tolist(), self.indices.tolist()))
 
     @property
     def bits(self) -> np.ndarray:
         a = np.zeros(self.shape, dtype=np.int8)
-        for i, s in enumerate(self.row_supports):
-            a[i, list(s)] = 1
+        a[self.row_ids(), self.indices] = 1
         return a
 
     def entry(self, i: int, j: int) -> int:
-        return int(j in self.row_supports[i])
+        return int(j in self.indices[self.indptr[i] : self.indptr[i + 1]].tolist())
 
     def row_weight(self, i: int) -> int:
-        return len(self.row_supports[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def row_weights(self) -> List[int]:
-        return [len(s) for s in self.row_supports]
+        return np.diff(self.indptr).tolist()
+
+    def csc(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The CSR arrays of the transpose: for each column, the increasing
+        rows of its ones."""
+        colptr = np.zeros(self.cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.cols), out=colptr[1:])
+        return colptr, self.row_ids()[np.argsort(self.indices, kind="stable")]
 
     def col_lists(self) -> List[List[int]]:
         """The increasing rows of the ones in each column."""
-        out: List[List[int]] = [[] for _ in range(self.cols)]
-        for i, s in enumerate(self.row_supports):
-            for j in s:
-                out[j].append(i)
-        return out
+        colptr, rows = self.csc()
+        flat, bounds = rows.tolist(), colptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def column_weights(self) -> List[int]:
-        return [len(x) for x in self.col_lists()]
+        return np.bincount(self.indices, minlength=self.cols).tolist()
 
     def to_exact(self, field: Field) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, field, [{j: field.one for j in s} for s in self.row_supports])
+        flat, bounds, one = self.indices.tolist(), self.indptr.tolist(), field.one
+        return ExactMatrix(self.rows, self.cols, field, [dict.fromkeys(flat[a:b], one) for a, b in zip(bounds, bounds[1:])])
 
     def _key(self) -> tuple:
-        return (self.rows, self.cols, self.row_supports, self.row_labels, self.col_labels)
+        return (self.rows, self.cols, self.row_labels, self.col_labels)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
+        return (
+            type(other) is type(self)
+            and self._key() == other._key()
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def padded_rows(indptr: np.ndarray, indices: np.ndarray, fill: int) -> np.ndarray:
+    """The entries of each CSR row as a table, padded with fill to the widest row."""
+    weights = np.diff(indptr)
+    row = np.repeat(np.arange(len(weights)), weights)
+    out = np.full((len(weights), weights.max(initial=0)), fill, dtype=np.int64)
+    out[row, np.arange(len(indices)) - indptr[row]] = indices
+    return out
+
+
 def binary_matrix(obj) -> BinaryMatrix:
-    """obj as an unlabelled BinaryMatrix: a BinaryMatrix gives a copy
-    without its labels, and a two-dimensional 0/1 array is converted."""
+    """obj as an unlabelled BinaryMatrix: a BinaryMatrix gives one on the
+    same arrays without its labels, and a two-dimensional 0/1 array is
+    converted."""
     if isinstance(obj, BinaryMatrix):
-        return BinaryMatrix(obj.rows, obj.cols, obj.row_supports)
+        return BinaryMatrix._checked(obj.rows, obj.cols, obj.indptr, obj.indices)
     arr = np.asarray(obj)
     if arr.ndim != 2 or not np.isin(arr, (0, 1)).all():
         raise ValueError("expected a two-dimensional 0/1 array")
-    return BinaryMatrix(*arr.shape, [np.flatnonzero(row).tolist() for row in arr])
+    indptr = np.zeros(arr.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(arr, axis=1), out=indptr[1:])
+    return BinaryMatrix(*arr.shape, csr=(indptr, np.nonzero(arr)[1]))
 
 
 def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
@@ -412,17 +494,33 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
 def nullspace(m: ExactMatrix) -> List[List[Scalar]]:
     """Basis of the right nullspace {x : m x = 0}: one vector per
     non-pivot column of the reduced row echelon form, in column order,
-    read off the reduced rows and re-verified."""
-    field = m.field
-    reduced, pivots = int_echelon(_int_rows(m), field.char)
+    read off the reduced rows and re-verified.
+
+    The re-check is exact on integers: each vector is scaled by the lcm of
+    its denominators and m x is accumulated, mod p over GF(p), from the
+    columns of the integer rows of m that its support meets, which gives
+    every row's product (the others are 0)."""
+    field, p = m.field, m.field.char
+    rows = _int_rows(m)
+    reduced, pivots = int_echelon(rows, p)
+    cols: List[List[Tuple[int, int]]] = [[] for _ in range(m.ncols)]  # (row, entry) of each column
+    for i, r in enumerate(rows):
+        for c, v in r.items():
+            cols[c].append((i, v))
     basis: List[List[Scalar]] = []
     for f in sorted(set(range(m.ncols)).difference(pivots)):
         x = [field.zero] * m.ncols
         x[f] = field.one
+        support = [f]
         for row, c in zip(reduced, pivots):
             if f in row:
                 x[c] = field.coerce(Fraction(-row[f], row[c]))
-        if any(m.mat_vec(x)):
+                support.append(c)
+        products: Dict[int, int] = {}
+        for c, v in zip(support, integer_numerators([x[c] for c in support])[0]):
+            for i, a in cols[c]:
+                products[i] = products.get(i, 0) + a * v
+        if any(s % p if p else s for s in products.values()):
             raise ArithmeticError("nullspace vector failed verification")
         basis.append(x)
     return basis

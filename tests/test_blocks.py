@@ -91,7 +91,8 @@ class TestIncidenceMatrix:
         assert mat.column_weights() == [3] * 20
 
     def test_blocks_check_each_support_once(self, monkeypatch):
-        # a block is built from a checked BinaryMatrix, whose supports it takes as they are
+        # B's ones are checked once, when B is built; the blocks take
+        # slices of its arrays and check none of them again
         dec = decompose(bmatrix(7))
         calls = []
         init = BinaryMatrix.__init__
@@ -102,7 +103,7 @@ class TestIncidenceMatrix:
 
         monkeypatch.setattr(BinaryMatrix, "__init__", counted)
         assert len(dec.blocks) == 966
-        assert calls == [BinaryMatrix] * 966
+        assert calls == []
 
     @pytest.mark.parametrize("bits", [[[0, 2]], [[1, 0], [0, -1]], [1, 0, 1], [[[1]]]])
     def test_malformed_array_rejected(self, bits):
@@ -165,6 +166,61 @@ class TestRegularity:
         report = check_regularity(bad)
         assert not report.ok
         assert report.failures
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_overlap_matches_the_gram_form(self, m):
+        mat = incidence_matrix(m)
+        assert check_regularity(mat) == gram_regularity(mat)
+
+    def test_rows_sharing_two_columns(self):
+        # L(6) with ones added at row (1, 3), column (1, 2, 4) and at row
+        # (1, 6), column (1, 2, 3): rows (1, 2) and (1, 3) then share
+        # (1, 2, 3) and (1, 2, 4), rows (1, 2) and (1, 6) share (1, 2, 3)
+        # and (1, 2, 6); the witness is the first pair in row-major order
+        mat = incidence_matrix(6)
+        bits = mat.bits.copy()
+        assert bits[0].tolist().count(1) == 4 and not bits[1, 1] and not bits[4, 0]
+        bits[1, 1] = bits[4, 0] = 1
+        bad = IncidenceMatrix(6, bits, mat.row_labels, mat.col_labels)
+        report = check_regularity(bad)
+        assert report == gram_regularity(bad)
+        assert report.max_overlap == 2
+        assert report.failures[-1] == f"rows {mat.row_labels[0]} and {mat.row_labels[1]} share 2 columns"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_matrices_match_the_gram_form(self, seed):
+        rng = random.Random(seed)
+        m = rng.choice([4, 6])
+        mat = incidence_matrix(m)
+        bits = (np.array([[rng.random() < 0.4 for _ in range(mat.cols)] for _ in range(mat.rows)])).astype(np.int8)
+        bad = IncidenceMatrix(m, bits, mat.row_labels, mat.col_labels)
+        assert check_regularity(bad) == gram_regularity(bad)
+
+
+def gram_regularity(mat):
+    """check_regularity with the overlap read off the Gram matrix of the
+    rows: its largest entry off the diagonal, the first such in row-major
+    order naming the witness rows."""
+    r = r_value(mat.m)
+    failures = [f"row {mat.row_labels[i]} has weight {w}, expected {r}" for i, w in enumerate(mat.row_weights()) if w != r]
+    failures += [
+        f"column {mat.col_labels[j]} has weight {w}, expected {r - 1}"
+        for j, w in enumerate(mat.column_weights())
+        if w != r - 1
+    ]
+    overlap = 0
+    if mat.rows > 1:
+        bits = mat.bits.astype(np.int64)
+        gram = bits @ bits.T
+        np.fill_diagonal(gram, 0)
+        overlap = int(gram.max())
+        if overlap > 1:
+            i, j = np.unravel_index(int(gram.argmax()), gram.shape)
+            failures.append(f"rows {mat.row_labels[int(i)]} and {mat.row_labels[int(j)]} share {overlap} columns")
+    return lgplucker.blocks.RegularityReport(
+        m=mat.m, r=r, shape=mat.shape, row_weight=r, column_weight=r - 1, max_overlap=overlap,
+        density=Fraction(r, comb(mat.m, mat.m // 2)), failures=tuple(failures),
+    )
 
 
 class TestBlockEquivalence:
@@ -431,8 +487,10 @@ def outcome(decomposer, b):
 
 
 class TestArrayDecomposition:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_the_block_by_block_oracle(self, n):
+        # Block equality compares every field: labels, tuples, the block's
+        # ones and labels, row_perm and col_perm
         assert outcome(decompose, bmatrix(n)) == outcome(literal_decompose, bmatrix(n))
 
     @pytest.mark.parametrize("n", [4, 5])

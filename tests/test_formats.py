@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgplucker import atlas, incidence_matrix
+from lgplucker.errors import PARSE_CAP
 from lgplucker.formats import (
     BinaryMatrix,
     matrix_data,
@@ -261,3 +263,202 @@ class TestCarrier:
         data = matrix_data(mat)
         assert (data.rows, data.cols) == mat.shape
         assert data.bits.tolist() == mat.bits.tolist()
+
+
+# --- the line-by-line parsers, kept as oracles for the array checks ---------
+
+
+def literal_line_ints(number, line, count):
+    tokens = line.split()
+    if len(tokens) != count:
+        raise ValueError(f"line {number}: expected {count} integers, got {line!r}")
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise ValueError(f"line {number}: non-integer token in {line!r}") from None
+
+
+def literal_declared(rows, cols):
+    if max(rows, cols) > PARSE_CAP:
+        raise ValueError(f"declared shape {rows}x{cols} exceeds the parse cap {PARSE_CAP}")
+
+
+def literal_from_entries(rows, cols, entries):
+    """The matrix with ones at the 0-based entries, checked one entry at a time."""
+    supports = {}
+    last = (-1, -1)
+    for k, (r, c) in enumerate(entries, 1):
+        if (r, c) <= last:
+            raise ValueError(f"entry {k} does not follow entry {k - 1} in row-major order")
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"entry ({r}, {c}) outside {rows}x{cols}")
+        supports.setdefault(r, []).append(c)
+        last = (r, c)
+    return BinaryMatrix(rows, cols, [supports.get(i, ()) for i in range(rows)])
+
+
+def literal_parse_coord(text):
+    lines = text.rstrip().splitlines()
+    if not lines:
+        raise ValueError("empty coordinate file")
+    rows, cols, nnz = literal_line_ints(1, lines[0], 3)
+    literal_declared(rows, cols)
+    entries = []
+    for number, ln in enumerate(lines[1:], 2):
+        r, c = literal_line_ints(number, ln, 2)
+        entries.append((r - 1, c - 1))
+    if len(entries) != nnz:
+        raise ValueError(f"header promises {nnz} entries, found {len(entries)}")
+    return literal_from_entries(rows, cols, entries)
+
+
+def literal_adjacency_lines(lines, start, weights, width, bound, kind, other):
+    out = []
+    for k, weight in enumerate(weights):
+        number = start + k + 1
+        values = literal_line_ints(number, lines[start + k], width)
+        live = [x for x in values if x != 0]
+        if len(live) != weight:
+            raise ValueError(f"{kind} {k + 1} line disagrees with its weight")
+        if values[:weight] != live:
+            raise ValueError(f"line {number}: padding 0 before a nonzero {other} index")
+        if any(a >= b for a, b in zip(live, live[1:])):
+            raise ValueError(f"line {number}: {kind} {k + 1} repeats a {other} index or lists them out of order")
+        for x in live:
+            if not 1 <= x <= bound:
+                raise ValueError(f"{other} index {x} outside [1, {bound}]")
+        out.append([x - 1 for x in live])
+    return out
+
+
+def literal_parse_alist(text):
+    lines = text.splitlines()
+    if len(lines) < 4:
+        raise ValueError("alist file too short")
+    cols, rows = literal_line_ints(1, lines[0], 2)
+    if cols < 0 or rows < 0:
+        raise ValueError(f"negative dimensions {rows}x{cols}")
+    max_col_w, max_row_w = literal_line_ints(2, lines[1], 2)
+    col_w = literal_line_ints(3, lines[2], cols)
+    row_w = literal_line_ints(4, lines[3], rows)
+    if (max_col_w, max_row_w) != (max(col_w, default=0), max(row_w, default=0)):
+        raise ValueError("line 2: maximum weights disagree with the weight lines")
+    last = 4 + cols + rows
+    if len(lines) < last:
+        raise ValueError("alist file truncated")
+    for number, ln in enumerate(lines[last:], last + 1):
+        if ln.strip():
+            raise ValueError(f"line {number}: content after the last row line")
+    col_lists = literal_adjacency_lines(lines, 4, col_w, max_col_w, rows, "column", "row")
+    row_lists = literal_adjacency_lines(lines, 4 + cols, row_w, max_row_w, cols, "row", "column")
+    data = BinaryMatrix(rows, cols, row_lists)
+    if data.col_lists() != col_lists:
+        raise ValueError("row and column adjacency lists disagree")
+    return data
+
+
+def literal_json_int(value, what):
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def literal_parse_json(text):
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("top level must be an object")
+    for key in ("rows", "cols", "nnz", "entries"):
+        if key not in doc:
+            raise ValueError(f"missing key {key!r}")
+    extra = sorted(set(doc) - {"rows", "cols", "nnz", "entries"})
+    if extra:
+        raise ValueError(f"unexpected keys {extra}")
+    if not isinstance(doc["entries"], list):
+        raise ValueError("entries must be a list")
+    entries = []
+    for pair in doc["entries"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"entry {pair!r} is not a [row, col] pair")
+        r, c = (literal_json_int(x, "entry index") for x in pair)
+        entries.append((r - 1, c - 1))
+    rows, cols, nnz = (literal_json_int(doc[key], key) for key in ("rows", "cols", "nnz"))
+    literal_declared(rows, cols)
+    data = literal_from_entries(rows, cols, entries)
+    if data.nnz != nnz:
+        raise ValueError("nnz field disagrees with the entry list")
+    return data
+
+
+LITERAL = [
+    (write_coord, parse_coord, literal_parse_coord),
+    (write_alist, parse_alist, literal_parse_alist),
+    (write_json, parse_json, literal_parse_json),
+]
+INTEGER = re.compile(r"-?\d+")
+
+
+def with_last_integer(line, value):
+    found = list(INTEGER.finditer(line))
+    if not found:
+        return None
+    a, b = found[-1].span()
+    return line[:a] + value + line[b:]
+
+
+def line_corruptions(line):
+    """Ways to spoil one line: a token dropped, added or not an integer,
+    an index out of range (past int64 too), a 0 moved before a nonzero
+    index, two tokens swapped."""
+    tokens = line.split()
+    out = [" ".join(tokens[:-1]), line + " 1", "x " + line]
+    out += [with_last_integer(line, v) for v in ("0", "-3", "1000", "99999999999999999999", "1.5", "true", '"2"')]
+    if "0" in tokens and any(t != "0" for t in tokens):
+        zero = tokens.index("0") if tokens[0] != "0" else len(tokens) - 1 - tokens[::-1].index("0")
+        rest = tokens[:zero] + tokens[zero + 1 :]
+        out.append(" ".join(["0"] + rest))
+    if len(tokens) > 1:
+        out.append(" ".join(tokens[-1:] + tokens[1:-1] + tokens[:1]))
+    return [x for x in out if x is not None and x != line]
+
+
+def corrupted_texts(text):
+    """Every line spoilt in every way in turn, two neighbouring lines
+    swapped, and a blank line put before each line."""
+    lines = text.split("\n")
+    for k, line in enumerate(lines):
+        for bad in line_corruptions(line):
+            yield "\n".join(lines[:k] + [bad] + lines[k + 1 :])
+        if k + 1 < len(lines):
+            yield "\n".join(lines[:k] + [lines[k + 1], line] + lines[k + 2 :])
+        yield "\n".join(lines[:k] + [""] + lines[k:])
+
+
+def parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestLiteralParsers:
+    @pytest.mark.parametrize("writer,parser,literal", LITERAL, ids=["coord", "alist", "json"])
+    @pytest.mark.parametrize("name", ["B3", "B4", "L6"])
+    def test_corrupted_lines_fail_as_the_literal_parser_does(self, writer, parser, literal, name):
+        # B(4) has alist lines with padding, which B(3) and L(6) do not
+        text = writer({"B3": bmatrix(3), "B4": bmatrix(4), "L6": incidence_matrix(6)}[name])
+        assert parser(text) == literal(text)
+        messages = set()
+        for bad in corrupted_texts(text):
+            got = parse_outcome(parser, bad)
+            assert got == parse_outcome(literal, bad), bad
+            if isinstance(got, tuple):
+                messages.add(re.sub(r"[-\d]+", "#", got[1].split(":")[-1] if got[1].startswith("line") else got[1])[:30])
+        # the corruptions reach many of the checks
+        assert len(messages) >= 5, messages
+
+    @pytest.mark.parametrize("writer,parser,literal", LITERAL, ids=["coord", "alist", "json"])
+    @settings(max_examples=60, deadline=None)
+    @given(x=binary_matrices())
+    def test_valid_texts_parse_as_the_literal_parser_does(self, writer, parser, literal, x):
+        text = writer(x)
+        assert parser(text) == literal(text) == matrix_data(x)

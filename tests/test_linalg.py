@@ -20,6 +20,7 @@ from lgplucker import (
     rank_report,
     row_space_equal,
 )
+from lgplucker import linalg
 from lgplucker.linalg import (
     _FOLD_ROWS,
     _matmul_mod,
@@ -449,3 +450,24 @@ class TestKernelsAgree:
         b = bmatrix(n)
         want = back_substitution_nullspace(b.bits.tolist(), b.shape[1], QQ)
         assert nullspace(b.to_exact(QQ)) == want
+
+
+class TestNullspaceRecheck:
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(2147483647)])
+    def test_corrupted_basis_vector_rejected(self, field, monkeypatch):
+        # one entry of one reduced row is off by one, so the vector read
+        # off it misses the nullspace; the integer re-check must see it
+        m = bmatrix(4).to_exact(field)
+        echelon = linalg.int_echelon
+
+        def corrupted(rows, p):
+            # the last column of a reduced row is a free one
+            reduced, pivots = echelon(rows, p)
+            row = next(r for r in reduced if len(r) > 1)
+            col = max(row)
+            row[col] = (row[col] + 1) % p if p else row[col] + 1
+            return reduced, pivots
+
+        monkeypatch.setattr(linalg, "int_echelon", corrupted)
+        with pytest.raises(ArithmeticError, match="nullspace vector failed verification"):
+            nullspace(m)
