@@ -6,7 +6,9 @@ re-serializing a parsed text reproduces it byte for byte (the writers are
 canonical: fixed ordering, fixed padding, no trailing whitespace). The
 parsers accept only that order: a text that lists its ones out of order
 raises a ValueError naming the line or the entry, as does a blank line
-before the last coordinate entry.
+before the last coordinate entry. Writers format their text from the
+matrix's CSR arrays; parsers convert the tokens once, check them as
+arrays, and name the first failing line or entry.
 
 Alist layout (the LDPC interchange convention):
 
@@ -72,15 +74,15 @@ def _int_table(lines: List[str], width: int) -> Tuple[np.ndarray, int]:
     """The integer tokens of the lines before the first that is not width
     integers, as the rows of a table, and the index of that line
     (len(lines) if none); _line_ints names what is wrong with it."""
-    split = list(map(str.split, lines))
-    counts = np.fromiter(map(len, split), np.int64, count=len(split))
+    # the lines are split once to count and once to convert, so that no
+    # more than one line's tokens are held as strings at a time
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, count=len(lines))
     wrong = counts != (width if 0 <= width <= counts.max(initial=0) else -1)
     first = int(wrong.argmax()) if wrong.any() else len(lines)
-    tokens = list(chain.from_iterable(split[:first]))
     try:
-        values = list(map(int, tokens))
+        values = list(map(int, chain.from_iterable(map(str.split, lines[:first]))))
     except ValueError:
-        values = list(map(_int_or_none, tokens))
+        values = list(map(_int_or_none, chain.from_iterable(map(str.split, lines[:first]))))
         first = values.index(None) // width
         values = values[: first * width]
     return int_array(values).reshape(first, max(width, 0)), first

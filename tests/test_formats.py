@@ -258,6 +258,15 @@ class TestCarrier:
         with pytest.raises(ValueError):
             BinaryMatrix.from_entries(2, 2, ((2, 0),))
 
+    @pytest.mark.parametrize(
+        "supports,row",
+        [([[0, 0]], 0), ([[1, 0]], 0), ([[0, 3]], 0), ([[-1, 1]], 0), ([[0, 2], [], [2, 2]], 2), ([(), (1,), (0, 1, 1)], 2)],
+    )
+    def test_rejects_rows_that_do_not_strictly_increase(self, supports, row):
+        s = tuple(supports[row])
+        with pytest.raises(ValueError, match=re.escape(f"row {row}: columns {s} do not strictly increase inside [0, 3)")):
+            BinaryMatrix(len(supports), 3, supports)
+
     def test_adapts_incidence_and_relation_matrices(self):
         mat = atlas(4)[0]
         data = matrix_data(mat)
@@ -423,13 +432,16 @@ def line_corruptions(line):
 
 def corrupted_texts(text):
     """Every line spoilt in every way in turn, two neighbouring lines
-    swapped, and a blank line put before each line."""
+    swapped, a line replaced by the one before it, and a blank line put
+    before each line."""
     lines = text.split("\n")
     for k, line in enumerate(lines):
         for bad in line_corruptions(line):
             yield "\n".join(lines[:k] + [bad] + lines[k + 1 :])
         if k + 1 < len(lines):
             yield "\n".join(lines[:k] + [lines[k + 1], line] + lines[k + 2 :])
+        if k:
+            yield "\n".join(lines[:k] + [lines[k - 1]] + lines[k + 1 :])
         yield "\n".join(lines[:k] + [""] + lines[k:])
 
 
