@@ -6,12 +6,12 @@ row alpha has a one at alpha + {x} for each x outside alpha (Wilson,
 Europ. J. Combin. 11, 1990). It is regular and sparse: r = (m+2)/2 ones
 per row, r - 1 per column, and any two rows share at most one column.
 
-The relation matrix decomposes into copies of these: group its rows by
-the free part of their index tuple; each class, restricted to the columns
-its rows touch, is a copy of L(m) for m = n - (free size), after the
-order-preserving renumbering of the surviving pairs onto 1..m. Columns
-whose index tuple contains no complementary pair are identically zero and
-are listed separately.
+The relation matrix is a direct sum of these: group its rows and columns
+by the free part of their index tuple; each class is L(m) for
+m = n - (free size), its pairs renumbered onto 1..m in order. In the
+canonical order of the labels it is L(m) as it stands, rows and columns
+alike. Columns whose index tuple contains no complementary pair are
+identically zero and are listed separately.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import comb
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from . import linalg
 from .combinatorics import IndexTuple, binomials, index_tuples, paired_entries, tuple_array
 from .fields import Field
 from .frlc import PlueckerMatrix
+from .symplectic import coordinates
 
 PairTuple = Tuple[int, ...]
 
@@ -191,7 +192,12 @@ def verify_block_equiv(block: IncidenceMatrix, reference: IncidenceMatrix) -> Tu
 
 @dataclass
 class Block:
-    """One decomposition block: a relabeled copy of an atlas member."""
+    """One decomposition block: a copy of an atlas member under B's labels.
+
+    On B's canonical labels the block is L(m) as it stands, so both
+    permutations are the identity; ``decompose``'s class-by-class pass
+    fills them in from ``verify_block_equiv`` for labels in another order.
+    """
 
     free: IndexTuple
     m: int
@@ -213,20 +219,21 @@ class BlockDecomposition:
     ``references`` maps each m that occurs to the atlas member L(m) its
     blocks were checked against, and ``counts`` maps it to the number of
     those blocks. ``blocks`` lists them in first-seen order of their free
-    parts; it is built when first read, from the classes and label
-    positions of ``matrix`` that ``decompose`` checked, computed again,
-    as the census and the rank need only the counts.
+    parts. On B's canonical labels every block is L(m) as it stands, with
+    identity permutations, and the list is sliced, when first read, from
+    the class order ``decompose`` computed; nothing is checked again. The
+    census and the rank need only the counts.
     """
 
     n: int
     zero_columns: Tuple[IndexTuple, ...]
     references: Dict[int, IncidenceMatrix]
     counts: Dict[int, int]
-    matrix: PlueckerMatrix = dataclass_field(repr=False, compare=False)
+    _blocks: Callable[[], List[Block]] = dataclass_field(repr=False, compare=False)
 
     @cached_property
     def blocks(self) -> List[Block]:
-        return _array_blocks(self.matrix, _classes(self.matrix, self.references))
+        return self._blocks()
 
     def census(self) -> Dict[str, int]:
         """Multiplicity of each atlas label, largest first."""
@@ -244,11 +251,16 @@ class BlockDecomposition:
         return sum(c * linalg.rank(self.references[m].to_exact(field)) for m, c in self.counts.items())
 
 
-def _class_blocks(b: PlueckerMatrix) -> None:
-    """decompose's checks one class of rows at a time, in first-seen order
-    of their free parts, each block by verify_block_equiv: raises
-    DecompositionError at the first column claimed by two classes or the
-    first block that fails, naming the witness."""
+def _class_blocks(
+    b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]
+) -> Tuple[List[Block], Tuple[IndexTuple, ...]]:
+    """decompose one class of rows at a time, in first-seen order of their
+    free parts, each block checked by verify_block_equiv against
+    references[m] (added when missing): the blocks and the zero columns.
+    Raises DecompositionError, naming the witness, at the first column
+    claimed by two classes or the first block that fails, then at an
+    uncovered column with a complete pair or a column count other than
+    C(2n, n)."""
     n = b.n
     supports = b.row_supports
     classes: Dict[IndexTuple, List[int]] = {}
@@ -262,7 +274,7 @@ def _class_blocks(b: PlueckerMatrix) -> None:
     row_labels = list(map(label, b.row_tuples, row_paired))
     col_labels = list(map(label, b.col_tuples, paired_entries(tuple_array(b.col_tuples, n), n).tolist()))
     owner: List[IndexTuple | None] = [None] * len(b.col_tuples)
-    references: Dict[int, IncidenceMatrix] = {}
+    blocks = []
     for free, rows_idx in classes.items():
         m = n - len(free)
         if m not in references:
@@ -281,158 +293,127 @@ def _class_blocks(b: PlueckerMatrix) -> None:
             tuple(row_labels[i] for i in rows_idx),
             tuple(col_labels[j] for j in col_idx),
         )
-        verify_block_equiv(mat, references[m])
+        row_perm, col_perm = verify_block_equiv(mat, references[m])
+        row_tuples, col_tuples = tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx)
+        blocks.append(Block(free, m, row_tuples, col_tuples, mat, row_perm, col_perm))
+    zero = [j for j, o in enumerate(owner) if o is None]
+    stray = [j for j in zero if col_labels[j]]
+    if stray:
+        raise DecompositionError(f"uncovered column {b.col_tuples[stray[0]]} contains a complete pair")
+    if b.cols != comb(2 * n, n):
+        raise DecompositionError(
+            f"{b.cols - len(zero)} block columns and {len(zero)} zero columns, expected {comb(2 * n, n)} in all"
+        )
+    return blocks, tuple(b.col_tuples[j] for j in zero)
 
 
-class _Classes(NamedTuple):
-    """B's rows grouped by free part and the columns each group touches,
-    as int arrays, with the position of every label in its L(m)."""
+class _ClassOrder(NamedTuple):
+    """B's rows and columns grouped by free part, each class in B's order,
+    in first-seen order of the free parts among the rows; the columns of
+    no class, those without a complete pair, come last."""
 
-    count: int  # the number of classes, numbered in first-seen order of their free parts
-    m: np.ndarray  # the m of each class, then 2n for the columns no row touches
-    cls: np.ndarray  # the class of each row
-    owner: np.ndarray  # the class of each column, count for none
-    ranks: Tuple[np.ndarray, np.ndarray] | None  # row and column positions; None if a check failed
-    tuples: Tuple[np.ndarray, np.ndarray]  # B's row and column tuples as arrays
-    paired: Tuple[np.ndarray, np.ndarray]  # True at each entry of a complete pair in them
+    m: List[int]  # the m of each class
+    rows: np.ndarray  # B's rows, class by class
+    cols: np.ndarray  # B's columns, class by class, then the zero columns
+    row_start: List[int]  # where each class starts in rows, then the row count
+    col_start: List[int]  # where each class starts in cols, then the zero columns, then the column count
 
 
-def _classes(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _Classes:
-    """verify_block_equiv's checks for all the classes of rows of b at
-    once, on int arrays, against references[m] (added when missing)."""
+def _direct_sum(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _ClassOrder | None:
+    """B's classes if its labels are the canonical tuples of
+    ``coordinates``, each one of B joins a row and a column of one class,
+    and each class's block, rows and columns in B's order, is
+    references[m] (added when missing) as it stands; None otherwise."""
     n = b.n
-    rows, cols = tuple_array(b.row_tuples, n - 2), tuple_array(b.col_tuples, n)
-    row_paired, col_paired = paired_entries(rows, n), paired_entries(cols, n)
-    row_low, col_low = row_paired & (rows <= n), col_paired & (cols <= n)
-    classes: Dict[int, int] = {}  # free-part bitmask -> class, in first-seen order
-    free_masks = np.where(row_paired, 0, 1 << rows).sum(axis=1).tolist()
-    cls = np.array([classes.setdefault(f, len(classes)) for f in free_masks], dtype=np.int64)
-    # one more class, k_all, takes the columns no row touches; its m = 2n
-    # keeps their (unread) ranks inside the binomial table
-    k_all = len(classes)
-    m = np.array([n - f.bit_count() for f in classes] + [2 * n])
-    half = m >> 1
-    for mm in dict.fromkeys(m[:k_all].tolist()):
+    rows, cols = coordinates(n - 2, n), coordinates(n, n)
+    if b.row_tuples != tuple(rows.tuples) or b.col_tuples != tuple(cols.tuples):
+        return None
+    classes: Dict[int, int] = {}  # free-part bitmask -> class
+    row_free, col_free = (np.where(c.paired, 0, 1 << c.array).sum(axis=1).tolist() for c in (rows, cols))
+    row_cls = np.array([classes.setdefault(f, len(classes)) for f in row_free], dtype=np.int64)
+    k = len(classes)
+    col_cls = np.array([classes.get(f, k) for f in col_free], dtype=np.int64)
+    m = [n - f.bit_count() for f in classes]
+    for mm in m:
         if mm not in references:
             references[mm] = incidence_matrix(mm)
-
-    # a column belongs to the class whose rows touch it; an entry of
-    # another class in it is a second claimant
-    e_col, e_row = b.indices, b.row_ids()
-    owner = np.full(len(cols), k_all)
-    owner[e_col] = cls[e_row]
-    own = owner < k_all
-    # the pair lows of class k renumber onto 1..m: low x becomes ren[k, x],
-    # the number of lows of its columns up to x
-    lows = np.zeros((k_all + 1, 2 * n + 1), dtype=bool)
-    for q in range(n):
-        lows[owner, np.where(col_low[:, q], cols[:, q], 0)] = True
-    lows[:, 0] = False
-    table = binomials(2 * n + 2)
-    # verify_block_equiv's checks: the shape, m pairs, the row pairs among
-    # them, m/2 pairs per column label, r ones per row ...
-    fits = (
-        (owner[e_col] == cls[e_row]).all()
-        and (np.bincount(cls, minlength=k_all + 1) == table[m, half - 1])[:k_all].all()
-        and (np.bincount(owner, minlength=k_all + 1) == table[m, half])[:k_all].all()
-        and (lows.sum(axis=1) == m)[:k_all].all()
-        and (lows[cls[:, None], rows] | ~row_low).all()
-        and ((col_low.sum(axis=1) == half[owner]) | ~own).all()
-        and (np.diff(b.indptr) == half[cls] + 1).all()
-    )
-    ranks = None
-    if fits:
-        ren = lows.cumsum(axis=1)
-
-        def positions(arr, low, k, size):
-            # tuple_rank's closed form on the renumbered labels, one position at a time
-            out, left = table[m[k], size] - 1, size + 1
-            for q in range(arr.shape[1]):
-                left = left - low[:, q]
-                out -= np.where(low[:, q], table[m[k] - ren[k, arr[:, q]], left], 0)
-            return out
-
-        row_rank, col_rank = positions(rows, row_low, cls, half[cls] - 1), positions(cols, col_low, owner, half[owner])
-        # ... no two columns of a class with one label ...
-        width = table[m[:k_all], half[:k_all]]
-        seen = np.zeros(int(width.sum()), dtype=bool)
-        seen[(np.cumsum(width) - width)[owner[own]] + col_rank[own]] = True
-        # ... and each one of B at a one of the reference
-        e_m = m[cls[e_row]]
-        if seen.all() and all(
-            references[mm].bits[row_rank[e_row[e_m == mm]], col_rank[e_col[e_m == mm]]].all() for mm in references
+    e_row, row_m = b.row_ids(), np.array(m)[row_cls]
+    if (row_cls[e_row] != col_cls[b.indices]).any():
+        return None
+    # the labels give each class the shape of its L(m): the (m - 2)/2 and
+    # the m/2 of the m pairs outside its free part
+    row_order, col_order = np.argsort(row_cls, kind="stable"), np.argsort(col_cls, kind="stable")
+    col_start = np.concatenate(([0], np.cumsum(np.bincount(col_cls, minlength=k + 1))))
+    local = np.empty(b.cols, dtype=np.int64)  # a column's place among its class's columns
+    local[col_order] = np.arange(b.cols) - col_start[col_cls[col_order]]
+    # B's rows and their ones class by class: the blocks of each m, rows
+    # and columns in B's order, must be their L(m)'s CSR arrays, tiled
+    weights, weight_m = np.diff(b.indptr)[row_order], row_m[row_order]
+    one_order = np.argsort(row_cls[e_row], kind="stable")
+    ones, one_m = local[b.indices[one_order]], row_m[e_row[one_order]]
+    for mm, count in Counter(m).items():
+        ref = references[mm]
+        if not (
+            np.array_equal(weights[weight_m == mm], np.tile(np.diff(ref.indptr), count))
+            and np.array_equal(ones[one_m == mm], np.tile(ref.indices, count))
         ):
-            ranks = (row_rank, col_rank)
-    return _Classes(k_all, m, cls, owner, ranks, (rows, cols), (row_paired, col_paired))
+            return None
+    row_start = np.concatenate(([0], np.cumsum(np.bincount(row_cls, minlength=k))))
+    return _ClassOrder(m, row_order, col_order, row_start.tolist(), col_start.tolist())
 
 
-def _array_blocks(b: PlueckerMatrix, c: _Classes) -> List[Block]:
-    """The blocks of b, in first-seen order of their free parts, from the
-    classes, owners and label positions of a checked _Classes."""
-    (row_rank, col_rank), (rows, cols), (row_paired, col_paired) = c.ranks, c.tuples, c.paired
+def _sliced_blocks(b: PlueckerMatrix, c: _ClassOrder, references: Dict[int, IncidenceMatrix]) -> List[Block]:
+    """The blocks of b, in first-seen order of their free parts, sliced
+    from the class order of _direct_sum: each one's matrix is the arrays
+    of its L(m) under B's pair lows, its permutations the identity."""
+    n = b.n
+    rows, cols = coordinates(n - 2, n), coordinates(n, n)
     shared: Dict[PairTuple, PairTuple] = {}  # one tuple per distinct label, for all the blocks
 
     def nonzero_tuples(arr: np.ndarray) -> List[tuple]:
         return [shared.setdefault(t, t) for t in map(tuple, map(partial(filter, None), arr.tolist()))]
 
-    # rows and columns sorted by class, each class in B's order
-    rorder, corder = np.argsort(c.cls, kind="stable"), np.argsort(c.owner, kind="stable")
-    rstart, cstart = (np.concatenate(([0], np.cumsum(np.bincount(x, minlength=c.count + 1)))) for x in (c.cls, c.owner))
-    local = np.empty(b.cols, dtype=np.int64)  # a column's place among its class's columns
-    local[corder] = np.arange(b.cols) - cstart[c.owner[corder]]
-    weights = np.diff(b.indptr)[rorder]
-    ptr = np.concatenate(([0], np.cumsum(weights)))
-    ones = local[b.indices[np.repeat(b.indptr[rorder] - ptr[:-1], weights) + np.arange(ptr[-1])]]
-    # each class's indptr, one after the other: class k's starts at rstart[k] + k
-    indptr = np.zeros(b.rows + c.count, dtype=np.int64)
-    cls = c.cls[rorder]
-    indptr[np.arange(b.rows) + cls + 1] = ptr[1:] - ptr[rstart[cls]]
-    ones.flags.writeable = indptr.flags.writeable = False
-    row_t, col_t = [b.row_tuples[i] for i in rorder.tolist()], [b.col_tuples[j] for j in corder.tolist()]
-    row_l = nonzero_tuples(np.where(row_paired & (rows <= b.n), rows, 0)[rorder])
-    col_l = nonzero_tuples(np.where(col_paired & (cols <= b.n), cols, 0)[corder])
-    free = nonzero_tuples(np.where(row_paired, 0, rows)[rorder[rstart[: c.count]]])
-    row_p, col_p = row_rank[rorder].tolist(), col_rank[corder].tolist()
-    rs, cs, ps = rstart.tolist(), cstart.tolist(), ptr.tolist()
+    row_t, col_t = [b.row_tuples[i] for i in c.rows.tolist()], [b.col_tuples[j] for j in c.cols.tolist()]
+    row_l = nonzero_tuples(np.where(rows.paired & (rows.array <= n), rows.array, 0)[c.rows])
+    col_l = nonzero_tuples(np.where(cols.paired & (cols.array <= n), cols.array, 0)[c.cols])
+    free = nonzero_tuples(np.where(rows.paired, 0, rows.array)[c.rows[c.row_start[:-1]]])
+    identity = {m: (tuple(range(ref.rows)), tuple(range(ref.cols))) for m, ref in references.items()}
+    rs, cs = c.row_start, c.col_start
     out = []
-    for k, m in enumerate(c.m[: c.count].tolist()):
-        r0, r1, c0, c1 = rs[k], rs[k + 1], cs[k], cs[k + 1]
-        mat = IncidenceMatrix._checked(
-            r1 - r0, c1 - c0, indptr[r0 + k : r1 + k + 1], ones[ps[r0] : ps[r1]], tuple(row_l[r0:r1]), tuple(col_l[c0:c1])
-        )
+    for k, m in enumerate(c.m):
+        ref, r0, r1, c0, c1 = references[m], rs[k], rs[k + 1], cs[k], cs[k + 1]
+        labels = tuple(row_l[r0:r1]), tuple(col_l[c0:c1])
+        mat = IncidenceMatrix._checked(ref.rows, ref.cols, ref.indptr, ref.indices, *labels)
         mat.m = m
-        out.append(Block(free[k], m, tuple(row_t[r0:r1]), tuple(col_t[c0:c1]), mat, tuple(row_p[r0:r1]), tuple(col_p[c0:c1])))
+        out.append(Block(free[k], m, tuple(row_t[r0:r1]), tuple(col_t[c0:c1]), mat, *identity[m]))
     return out
 
 
 def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     """Split the relation matrix into its incidence blocks and verify each.
 
-    Rows are grouped by the free part of their tuple; a class with free
-    part of size t restricts to the columns it touches as a copy of the
-    atlas member for m = n - t, checked bit for bit through the canonical
-    pair renumbering. No column may be touched by two classes, every
-    column left over must contain no complete pair, and the block widths
-    plus the zero columns must add up to C(2n, n): B is then the direct
-    sum of its blocks and the zero columns.
+    Rows and columns are grouped by the free part of their tuple. On the
+    canonical labels of ``build_plucker_matrix`` every block is its atlas
+    member L(m), m = n - (free size), as it stands: within a class the
+    tuples share their free entries and each pair low lies below every
+    pair high, so their lexicographic order is that of their pair lows,
+    which the order-preserving renumbering onto 1..m keeps. So decompose
+    checks that each one of B joins a row and a column of one class, and
+    that each class's block, rows and columns in B's order, has L(m)'s
+    CSR arrays; no label is renumbered or ranked and both permutations are
+    the identity. The columns of no class are those without a complete
+    pair, the zero columns, and the labels hold C(2n, n) columns: B is
+    then the direct sum of its blocks and the zero columns.
 
-    The checks run on int arrays over all classes at once; should one
-    fail, the classes are gone through one by one with
-    ``verify_block_equiv``, which names the witness.
+    For labels in another order, or when a check fails, the classes are
+    gone through one by one with ``verify_block_equiv``, each restricted
+    to the columns its rows touch: that pass returns the blocks with
+    their permutations or raises DecompositionError, naming the witness.
     """
-    n = b.n
     references: Dict[int, IncidenceMatrix] = {}
-    c = _classes(b, references)
-    if c.ranks is None:
-        _class_blocks(b)  # raises at the first class that fails
-    uncovered = c.owner == c.count
-    stray = np.flatnonzero(uncovered & c.paired[1].any(axis=1))
-    if stray.size:
-        raise DecompositionError(f"uncovered column {b.col_tuples[stray[0]]} contains a complete pair")
-    zero_cols = tuple(b.col_tuples[j] for j in np.flatnonzero(uncovered).tolist())
-    if b.cols != comb(2 * n, n):
-        raise DecompositionError(
-            f"{b.cols - len(zero_cols)} block columns and {len(zero_cols)} zero columns, expected {comb(2 * n, n)} in all"
-        )
-    counts = dict(Counter(c.m[: c.count].tolist()))
-    return BlockDecomposition(n, zero_cols, references, counts, b)
+    c = _direct_sum(b, references)
+    if c is None:
+        blocks, zero_cols = _class_blocks(b, references)
+        return BlockDecomposition(b.n, zero_cols, references, dict(Counter(blk.m for blk in blocks)), blocks.copy)
+    zero_cols = tuple(b.col_tuples[j] for j in c.cols[c.col_start[-2] :].tolist())
+    return BlockDecomposition(b.n, zero_cols, references, dict(Counter(c.m)), partial(_sliced_blocks, b, c, references))

@@ -16,7 +16,7 @@ from math import comb
 from typing import Any, List, Optional
 
 from . import blocks, formats, frlc, linalg, symplectic
-from .errors import DECOMPOSE_CAP, EXPORT_CAP, RANK_CAP, ResourceCapError
+from .errors import EXPORT_CAP, ResourceCapError
 from .fields import GF, QQ
 from .symplectic import ExteriorVector, contract, coordinate_vector
 
@@ -95,8 +95,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.n > DECOMPOSE_CAP:
-        raise ResourceCapError(f"n = {args.n} exceeds the decompose cap {DECOMPOSE_CAP}")
     b = frlc.build_plucker_matrix(args.n)
     try:
         dec = blocks.decompose(b)
@@ -240,8 +238,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.n > RANK_CAP:
-        raise ResourceCapError(f"n = {args.n} exceeds the rank cap {RANK_CAP}")
     try:
         report = linalg.rank_report(args.n, args.char)
     except linalg.RankCriterionViolation as exc:

@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, binomials, split_free_pairs, tuple_array, validate_index_tuple
+from .combinatorics import IndexTuple, binomials, split_free_pairs, validate_index_tuple
 from .errors import BUILD_CAP, ResourceCapError
 from .fields import Field, QQ, Scalar
 from .symplectic import ExteriorVector, arranged_coordinates, coordinates
@@ -126,8 +126,8 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
         raise ValueError(f"need n >= 2, got {n}")
     if n > BUILD_CAP:
         raise ResourceCapError(f"n = {n} exceeds the build cap {BUILD_CAP}")
-    row_tuples = coordinates(n - 2, n).tuples
-    g = tuple_array(row_tuples, n - 2)
+    rows = coordinates(n - 2, n)
+    g = rows.array
     c = binomials(2 * n + 1)
     ranks = np.empty((len(g), n), dtype=np.int64)
     disjoint = np.empty((len(g), n), dtype=bool)
@@ -146,7 +146,7 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
     # lists its columns in increasing order
     indptr = np.zeros(len(g) + 1, dtype=np.int64)
     np.cumsum(disjoint.sum(axis=1), out=indptr[1:])
-    return PlueckerMatrix(n, row_tuples, coordinates(n, n).tuples, csr=(indptr, ranks[disjoint]))
+    return PlueckerMatrix(n, rows.tuples, coordinates(n, n).tuples, csr=(indptr, ranks[disjoint]))
 
 
 def row_weight_law(gamma: IndexTuple, n: int) -> int:

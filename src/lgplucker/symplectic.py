@@ -80,11 +80,15 @@ def pairing(x: Sequence, y: Sequence, n: int, field: Field) -> Scalar:
 
 class Coordinates(NamedTuple):
     """The exterior coordinates of one grade in canonical order: each index
-    tuple, its position, and its pair-adjacent sign as an int64 vector."""
+    tuple, its position, and its pair-adjacent sign as an int64 vector;
+    the tuples as the rows of an int64 array, and True at each entry of a
+    complete pair in them (see ``paired_entries``)."""
 
     tuples: List[IndexTuple]
     position: Dict[IndexTuple, int]
     signs: np.ndarray
+    array: np.ndarray
+    paired: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -97,13 +101,14 @@ def coordinates(grade: int, n: int) -> Coordinates:
     # value and a paired one after all of them, by its pair's low end, low
     # before high (x + 2n * low does that); the sign is the parity of the
     # keys' inversions
-    key = arr.copy()
-    for x, p, k in zip(arr.T, paired_entries(arr, n).T, key.T):  # a position at a time
+    key, paired = arr.copy(), paired_entries(arr, n)
+    for x, p, k in zip(arr.T, paired.T, key.T):  # a position at a time
         k[p] += 2 * n * np.minimum(x, 2 * n + 1 - x)[p]
     inversions = np.zeros(len(tuples), dtype=np.int64)
     for a in range(grade - 1):
         inversions += (key[:, a, None] > key[:, a + 1 :]).sum(axis=1)
-    return Coordinates(tuples, {t: j for j, t in enumerate(tuples)}, 1 - 2 * (inversions % 2))
+    arr.flags.writeable = paired.flags.writeable = False
+    return Coordinates(tuples, {t: j for j, t in enumerate(tuples)}, 1 - 2 * (inversions % 2), arr, paired)
 
 
 class ExteriorVector:
@@ -518,12 +523,14 @@ def lagrangian_cells(n: int, q: int) -> Iterator[np.ndarray]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     GF(q)  # raises for a q that is not a prime below MAX_PRIME
-    total = lagrangian_count(n, q)
-    if total > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"{total} subspaces exceed the enumeration cap {ENUMERATION_CAP}; "
-            "use random_lagrangian for sampling instead"
-        )
+    total = 1
+    for i in range(1, n + 1):  # lagrangian_count, stopped once past the cap
+        total *= 1 + q**i
+        if total > ENUMERATION_CAP:
+            raise ResourceCapError(
+                f"the subspaces for n = {n}, q = {q} exceed the enumeration cap {ENUMERATION_CAP}; "
+                "use random_lagrangian for sampling instead"
+            )
     last = 2 * n - 1
     for pivots in combinations(range(2 * n), n):
         if any(last - c in pivots for c in pivots):

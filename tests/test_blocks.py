@@ -15,6 +15,7 @@ from lgplucker import (
     IncidenceMatrix,
     PlueckerMatrix,
     atlas,
+    build_plucker_matrix,
     check_regularity,
     decompose,
     incidence_matrix,
@@ -25,8 +26,9 @@ from lgplucker import (
     verify_block_equiv,
 )
 import lgplucker.blocks
+import lgplucker.frlc
 from lgplucker.linalg import BinaryMatrix
-from conftest import bmatrix
+from conftest import bmatrix, wilson_rank
 
 
 def literal_incidence_matrix(m):
@@ -601,15 +603,98 @@ class TestArrayDecomposition:
         assert dec.blocks is dec.blocks
 
 
-def wilson_rank(m, p):
-    """Wilson's diagonal form: the GF(p) rank (p = 0 for QQ) of the
-    inclusion matrix of (k-1)-subsets against k-subsets of a 2k-set."""
-    k = m // 2
-    return sum(
-        comb(2 * k, i) - (comb(2 * k, i - 1) if i else 0)
-        for i in range(k)
-        if p == 0 or (k - i) % p
-    )
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_every_block_is_its_member_as_it_stands(self, n, monkeypatch):
+        # in the order build_plucker_matrix gives, verify_block_equiv
+        # carries each block onto its L(m) by the identity
+        monkeypatch.setattr(lgplucker.frlc, "BUILD_CAP", 8)
+        dec = decompose(build_plucker_matrix(n))
+        assert len(dec.blocks) == len(row_partition(n))
+        refs = {m: incidence_matrix(m) for m in dec.counts}
+        for blk in dec.blocks:
+            identity = (tuple(range(refs[blk.m].rows)), tuple(range(refs[blk.m].cols)))
+            assert verify_block_equiv(blk.matrix, refs[blk.m]) == identity == (blk.row_perm, blk.col_perm)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_shuffled_labels_pass_class_by_class(self, n, monkeypatch):
+        # rows and columns shuffled together with their labels: not the
+        # canonical order, so the class-by-class pass accepts B, with
+        # permutations other than the identity, and finds the same blocks
+        b = bmatrix(n)
+        rng = random.Random(n)
+        rows, cols = rng.sample(range(b.rows), b.rows), rng.sample(range(b.cols), b.cols)
+        place = {j: k for k, j in enumerate(cols)}
+        shuffled = PlueckerMatrix(
+            n, [b.row_tuples[i] for i in rows], [b.col_tuples[j] for j in cols],
+            [sorted(place[j] for j in b.row_supports[i]) for i in rows],
+        )
+        passes = []
+        class_blocks = lgplucker.blocks._class_blocks
+        monkeypatch.setattr(lgplucker.blocks, "_class_blocks", lambda *args: passes.append(1) or class_blocks(*args))
+        dec, canon = decompose(shuffled), decompose(b)
+        assert passes == [1]
+        assert dec.census() == canon.census() and dec.counts == canon.counts
+        assert sorted(dec.zero_columns) == list(canon.zero_columns)
+        canon_blocks = {blk.free: blk for blk in canon.blocks}
+        assert sorted(blk.free for blk in dec.blocks) == sorted(canon_blocks)
+        moved = 0
+        for blk in dec.blocks:
+            same = canon_blocks[blk.free]
+            # the block is its canonical twin, L(m), under its permutations
+            literal_block_equiv(blk.matrix, same.matrix, blk.row_perm, blk.col_perm)
+            assert [blk.row_tuples[i] for i in np.argsort(blk.row_perm)] == list(same.row_tuples)
+            assert [blk.col_tuples[j] for j in np.argsort(blk.col_perm)] == list(same.col_tuples)
+            moved += blk.row_perm != same.row_perm or blk.col_perm != same.col_perm
+        assert moved > 0
+
+    def test_one_moved_to_its_place_in_another_class(self):
+        # a one of the first L3 block of B(5) moves to the column at the
+        # same place in the second: every block keeps its CSR arrays, and
+        # only the check that each one stays inside its class can tell
+        b = bmatrix(5)
+        first, second = [blk for blk in decompose(b).blocks if blk.m == 4][:2]
+        col = {t: j for j, t in enumerate(b.col_tuples)}
+        x = first.matrix.row_supports[0][0]
+        old, new = col[first.col_tuples[x]], col[second.col_tuples[x]]
+        i = b.row_tuples.index(first.row_tuples[0])
+        supports = list(b.row_supports)
+        supports[i] = tuple(sorted(new if j == old else j for j in supports[i]))
+        bad = corrupted(b, supports=supports)
+        got = outcome(decompose, bad)
+        assert got == outcome(literal_decompose, bad)
+        assert issubclass(got[0], DecompositionError)
+
+    def test_one_moved_inside_its_class(self):
+        # row (1, 8) of B(4) trades its one at (1, 4, 5, 8) for one at
+        # (2, 3, 6, 7) of its own class: every one stays inside its class
+        # and every row keeps its weight; only the comparison with L(4)'s
+        # arrays can tell
+        b = bmatrix(4)
+        col = {t: j for j, t in enumerate(b.col_tuples)}
+        i = b.row_tuples.index((1, 8))
+        supports = list(b.row_supports)
+        supports[i] = tuple(sorted(col[2, 3, 6, 7] if j == col[1, 4, 5, 8] else j for j in supports[i]))
+        bad = corrupted(b, supports=supports)
+        got = outcome(decompose, bad)
+        assert got == outcome(literal_decompose, bad)
+        assert got[0] is BlockEquivalenceError and got[1].startswith("bit mismatch at block row (1,)")
+
+    def test_blocks_check_nothing_again(self, monkeypatch):
+        # decompose groups B's labels once; .blocks only slices that order
+        grouped = []
+        direct_sum = lgplucker.blocks._direct_sum
+        monkeypatch.setattr(lgplucker.blocks, "_direct_sum", lambda *args: grouped.append(1) or direct_sum(*args))
+        dec = decompose(bmatrix(7))
+        assert grouped == [1]
+
+        def checked_again(*args):
+            raise AssertionError("a check ran again")
+
+        for name in ("_direct_sum", "_class_blocks", "verify_block_equiv", "incidence_matrix", "check_regularity"):
+            monkeypatch.setattr(lgplucker.blocks, name, checked_again)
+        assert len(dec.blocks) == 966
+        assert dec.census() == {"L4": 14, "L3": 280, "L2": 672}
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])

@@ -7,7 +7,7 @@ import pytest
 from lgplucker import blocks
 from lgplucker.cli import main
 from lgplucker.formats import parse_alist, parse_coord, matrix_data
-from conftest import bmatrix
+from conftest import bmatrix, wilson_rank
 
 
 # sha256 of the file build writes for each n and format
@@ -39,7 +39,21 @@ DECOMPOSE_SHA256 = {
     4: "ac3271f65b8a60d8b77336c1a58e7353b926fdfaa937b8768326351a3fe16d77",
     5: "7011d1ffb4556ea83d69363c67170ea70371fb9cdc7a222bc08dbfc59be88928",
     6: "39ca332b950bbbfa93d51bdafa911627f05aa5a886426d85824b60e81bbe8f1b",
+    7: "2d5dab969712721995309ae0dbd472ed4e3e3c0608617d1630da4b95b3282e5b",
 }
+
+# sha256 of the JSON report rank --n 7 --json prints for each characteristic
+RANK_N7_SHA256 = {
+    0: "646a1f81e9b6be927dd415cac1fed7520cfadc73817f895ace046831423fef11",
+    2: "0fe41d9e444b4e5d2660861bf741b210a36390098c16aec7e80c493ce389e1b8",
+    3: "cb9dd8808cec88a6126688054b6b288f9943b7388e8d29d4363c52ed2ebc1e97",
+    5: "1cff01433a930f19d0ac79e9dcad9a777e59e0e6cc7f4336db61357172506c8d",
+    7: "82fc7fabea34b199cc15e5b44a001a8f428c459cd4ab6ca72a6b2059409c7ecd",
+}
+
+# the census of B(7): blocks per m, and its zero columns
+N7_CENSUS = {6: 14, 4: 280, 2: 672}
+N7_ZERO_COLUMNS = 128
 
 # sha256 of the verify report, without its timings and re-dumped with
 # indent 2, for each (n, q); seed 0
@@ -101,7 +115,13 @@ class TestDecompose:
         assert "NOTE" in out
 
     def test_cap(self):
-        assert main(["decompose", "--n", "7"]) == 3
+        assert main(["decompose", "--n", "8"]) == 3
+
+    def test_n7_census(self, capsys):
+        # the report test_report_bytes_pinned pins for n = 7 holds this census
+        assert main(["decompose", "--n", "7"]) == 0
+        parts = [f"{c}×L{blocks.r_value(m)}" for m, c in N7_CENSUS.items()]
+        assert capsys.readouterr().out.splitlines()[0] == ", ".join(parts) + f", zero-cols {N7_ZERO_COLUMNS}"
 
     def test_regularity_checked_once_per_atlas_member(self, capsys, monkeypatch):
         seen = []
@@ -147,6 +167,15 @@ class TestVerify:
 
     def test_n1_usage_error(self, capsys):
         assert main(["verify", "--n", "1", "--q", "2"]) == 1
+
+    @pytest.mark.parametrize("n,q", [(30, 2147483629), (200, 2)])
+    def test_count_past_the_int_str_limit_hits_the_cap(self, n, q, capsys):
+        # the point counts have more than 4300 digits, which Python will not
+        # turn into a string; the cap names n, q and the cap instead
+        assert main(["verify", "--n", str(n), "--q", str(q)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n = {n}, q = {q} exceed the enumeration cap" in captured.err
 
     def test_failing_check_exits_2(self, capsys, monkeypatch):
         import lgplucker.cli as cli_mod
@@ -227,7 +256,19 @@ class TestRank:
         assert doc["rank"] == 6 and doc["surjective"] is True
 
     def test_cap(self):
-        assert main(["rank", "--n", "7"]) == 3
+        assert main(["rank", "--n", "8"]) == 3
+
+    @pytest.mark.parametrize("char", sorted(RANK_N7_SHA256))
+    def test_json_n7_pinned_against_wilson(self, char, capsys):
+        # the rank is the census times Wilson's rank of each member
+        assert main(["rank", "--n", "7", "--char", str(char), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RANK_N7_SHA256[char]
+        rank = sum(c * wilson_rank(m, char) for m, c in N7_CENSUS.items())
+        assert json.loads(out) == {
+            "n": 7, "characteristic": char, "rank": rank, "expected": 2002,
+            "surjective": rank == 2002, "embedding_rank": 3432 - rank,
+        }
 
     @pytest.mark.parametrize("char, rank", [(0, 495), (2, 430), (3, 494), (5, 495), (7, 495)])
     def test_json_n6_pinned(self, char, rank, capsys):

@@ -1,7 +1,10 @@
-"""No module of the package imports a name it never uses. The toolchain
-has no linter, so this test stands in for that one check."""
+"""No module of the package imports a name it never uses, and none
+defines a function, class or constant that nothing names. The toolchain
+has no linter, so these tests stand in for those two checks."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,54 @@ def test_guard_finds_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+# Every module-level function, class and constant of the package must be
+# named somewhere outside its own definition, in the package, the tests,
+# the benchmark or the README, so that a helper left without a caller
+# cannot stay.
+ROOT = PACKAGE.parents[1]
+CORPUS = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "tests").rglob("*.py")),
+    *sorted((ROOT / "perfbench").rglob("*.py")),
+    ROOT / "README.md",
+]
+WORD = re.compile(r"\w+")
+
+
+def definitions(source):
+    """The functions, classes and constants a module binds at its top
+    level, dunder names aside, each with the text of its definition
+    (decorators included), in source order."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first, names = min([node.lineno] + [d.lineno for d in node.decorator_list]), [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            first, names = node.lineno, [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+        else:
+            continue
+        span = "\n".join(lines[first - 1 : node.end_lineno])
+        out += [(name, span) for name in names]
+    return out
+
+
+def unnamed_definitions(source, words):
+    """The names source defines that occur nowhere but in their own
+    definitions; words counts the words of every text searched, source
+    included."""
+    return [name for name, span in definitions(source) if words[name] == WORD.findall(span).count(name)]
+
+
+def test_guard_finds_an_orphaned_helper():
+    source = "import os\n\n@staticmethod\ndef used():\n    pass\n\n\ndef orphan():\n    return orphan()\n\n\nX: int = used()\n__all__ = []\n"
+    assert unnamed_definitions(source, Counter(WORD.findall(source))) == ["orphan", "X"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_definition_is_named_elsewhere(module):
+    words = Counter(WORD.findall("\n".join(p.read_text(encoding="utf-8") for p in CORPUS)))
+    assert unnamed_definitions((PACKAGE / module).read_text(encoding="utf-8"), words) == []
