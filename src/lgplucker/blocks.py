@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
@@ -71,8 +71,12 @@ class IncidenceMatrix(linalg.BinaryMatrix):
         return super()._key() + (self.m,)
 
 
+@lru_cache(maxsize=None)
 def incidence_matrix(m: int) -> IncidenceMatrix:
-    """The atlas member L(m) for even m >= 2, labelled by its subsets."""
+    """The atlas member L(m) for even m >= 2, labelled by its subsets.
+
+    Built once per m and shared by every caller: its CSR arrays are
+    read-only and its labels tuples."""
     if m < 2 or m % 2:
         raise ValueError(f"need an even m >= 2, got {m}")
     k = m // 2
@@ -307,64 +311,90 @@ def _class_blocks(
     return blocks, tuple(b.col_tuples[j] for j in zero)
 
 
-class _ClassOrder(NamedTuple):
-    """B's rows and columns grouped by free part, each class in B's order,
-    in first-seen order of the free parts among the rows; the columns of
-    no class, those without a complete pair, come last."""
+class _ClassTable(NamedTuple):
+    """The free-part classes of B(n)'s canonical labels, which n alone
+    fixes: rows and columns grouped by free part, each class in B's
+    order, in first-seen order of the free parts among the rows; the
+    columns of no class, those without a complete pair, come last."""
 
     m: List[int]  # the m of each class
     rows: np.ndarray  # B's rows, class by class
     cols: np.ndarray  # B's columns, class by class, then the zero columns
     row_start: List[int]  # where each class starts in rows, then the row count
     col_start: List[int]  # where each class starts in cols, then the zero columns, then the column count
+    row_cls: np.ndarray  # the class of each row
+    col_cls: np.ndarray  # the class of each column, the class count for a zero column
+    local: np.ndarray  # a column's place among its class's columns
+    row_m: np.ndarray  # the m of each row's class
+    counts: Dict[int, int]  # the number of classes of each m
 
 
-def _direct_sum(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _ClassOrder | None:
-    """B's classes if its labels are the canonical tuples of
+@lru_cache(maxsize=None)
+def _class_table(n: int) -> _ClassTable:
+    """The class table of B(n)'s canonical labels, built once per n from
+    the arrays of ``coordinates``; its arrays are read-only."""
+    rows, cols = coordinates(n - 2, n), coordinates(n, n)
+    row_free, col_free = (np.where(c.paired, 0, 1 << c.array).sum(axis=1) for c in (rows, cols))
+    # the distinct free-part bitmasks, sorted, renumbered in first-seen order
+    free, first, inverse = np.unique(row_free, return_index=True, return_inverse=True)
+    k = len(free)
+    seen = np.empty(k, dtype=np.int64)
+    seen[np.argsort(first)] = np.arange(k)
+    row_cls = seen[inverse.reshape(-1)]
+    at = np.minimum(np.searchsorted(free, col_free), k - 1)
+    col_cls = np.where(free[at] == col_free, seen[at], k)
+    m = n - (~rows.paired[np.sort(first)]).sum(axis=1)
+    row_order, col_order = np.argsort(row_cls, kind="stable"), np.argsort(col_cls, kind="stable")
+    row_start = np.concatenate(([0], np.cumsum(np.bincount(row_cls, minlength=k))))
+    col_start = np.concatenate(([0], np.cumsum(np.bincount(col_cls, minlength=k + 1))))
+    local = np.empty(len(col_cls), dtype=np.int64)
+    local[col_order] = np.arange(len(col_cls)) - col_start[col_cls[col_order]]
+    row_m = m[row_cls]
+    for a in (row_order, col_order, row_cls, col_cls, local, row_m):
+        a.flags.writeable = False
+    m = m.tolist()
+    return _ClassTable(
+        m, row_order, col_order, row_start.tolist(), col_start.tolist(), row_cls, col_cls, local, row_m, dict(Counter(m))
+    )
+
+
+def _direct_sum(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _ClassTable | None:
+    """B's class table if its labels are the canonical tuples of
     ``coordinates``, each one of B joins a row and a column of one class,
     and each class's block, rows and columns in B's order, is
-    references[m] (added when missing) as it stands; None otherwise."""
+    references[m] (added when missing) as it stands; None otherwise.
+    The table is that of the labels; everything else is checked on B."""
     n = b.n
     rows, cols = coordinates(n - 2, n), coordinates(n, n)
     if b.row_tuples != tuple(rows.tuples) or b.col_tuples != tuple(cols.tuples):
         return None
-    classes: Dict[int, int] = {}  # free-part bitmask -> class
-    row_free, col_free = (np.where(c.paired, 0, 1 << c.array).sum(axis=1).tolist() for c in (rows, cols))
-    row_cls = np.array([classes.setdefault(f, len(classes)) for f in row_free], dtype=np.int64)
-    k = len(classes)
-    col_cls = np.array([classes.get(f, k) for f in col_free], dtype=np.int64)
-    m = [n - f.bit_count() for f in classes]
-    for mm in m:
+    c = _class_table(n)
+    for mm in c.counts:
         if mm not in references:
             references[mm] = incidence_matrix(mm)
-    e_row, row_m = b.row_ids(), np.array(m)[row_cls]
-    if (row_cls[e_row] != col_cls[b.indices]).any():
+    e_row = b.row_ids()
+    if (c.row_cls[e_row] != c.col_cls[b.indices]).any():
         return None
     # the labels give each class the shape of its L(m): the (m - 2)/2 and
-    # the m/2 of the m pairs outside its free part
-    row_order, col_order = np.argsort(row_cls, kind="stable"), np.argsort(col_cls, kind="stable")
-    col_start = np.concatenate(([0], np.cumsum(np.bincount(col_cls, minlength=k + 1))))
-    local = np.empty(b.cols, dtype=np.int64)  # a column's place among its class's columns
-    local[col_order] = np.arange(b.cols) - col_start[col_cls[col_order]]
-    # B's rows and their ones class by class: the blocks of each m, rows
-    # and columns in B's order, must be their L(m)'s CSR arrays, tiled
-    weights, weight_m = np.diff(b.indptr)[row_order], row_m[row_order]
-    one_order = np.argsort(row_cls[e_row], kind="stable")
-    ones, one_m = local[b.indices[one_order]], row_m[e_row[one_order]]
-    for mm, count in Counter(m).items():
+    # the m/2 of the m pairs outside its free part. B's rows and their
+    # ones class by class: the blocks of each m, rows and columns in B's
+    # order, must be their L(m)'s CSR arrays, tiled
+    weights, weight_m = np.diff(b.indptr)[c.rows], c.row_m[c.rows]
+    one_order = np.argsort(c.row_cls[e_row], kind="stable")
+    ones, one_m = c.local[b.indices[one_order]], c.row_m[e_row[one_order]]
+    for mm, count in c.counts.items():
         ref = references[mm]
         if not (
             np.array_equal(weights[weight_m == mm], np.tile(np.diff(ref.indptr), count))
             and np.array_equal(ones[one_m == mm], np.tile(ref.indices, count))
         ):
             return None
-    row_start = np.concatenate(([0], np.cumsum(np.bincount(row_cls, minlength=k))))
-    return _ClassOrder(m, row_order, col_order, row_start.tolist(), col_start.tolist())
+    return c
 
 
-def _sliced_blocks(b: PlueckerMatrix, c: _ClassOrder, references: Dict[int, IncidenceMatrix]) -> List[Block]:
+def _sliced_blocks(b: PlueckerMatrix, c: _ClassTable, references: Dict[int, IncidenceMatrix]) -> List[Block]:
     """The blocks of b, in first-seen order of their free parts, sliced
-    from the class order of _direct_sum: each one's matrix is the arrays
+    from the class table of _direct_sum: each one's matrix is the arrays
     of its L(m) under B's pair lows, its permutations the identity."""
     n = b.n
     rows, cols = coordinates(n - 2, n), coordinates(n, n)
@@ -405,6 +435,12 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     pair, the zero columns, and the labels hold C(2n, n) columns: B is
     then the direct sum of its blocks and the zero columns.
 
+    What n and m alone fix is built once per process and shared: the
+    atlas members (``incidence_matrix``) and the class of every canonical
+    row and column. What B could get wrong is checked on every call: its
+    labels against the canonical ones, each of its ones against the
+    classes, and its arrays against the tiled L(m).
+
     For labels in another order, or when a check fails, the classes are
     gone through one by one with ``verify_block_equiv``, each restricted
     to the columns its rows touch: that pass returns the blocks with
@@ -416,4 +452,4 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
         blocks, zero_cols = _class_blocks(b, references)
         return BlockDecomposition(b.n, zero_cols, references, dict(Counter(blk.m for blk in blocks)), blocks.copy)
     zero_cols = tuple(b.col_tuples[j] for j in c.cols[c.col_start[-2] :].tolist())
-    return BlockDecomposition(b.n, zero_cols, references, dict(Counter(c.m)), partial(_sliced_blocks, b, c, references))
+    return BlockDecomposition(b.n, zero_cols, references, dict(c.counts), partial(_sliced_blocks, b, c, references))

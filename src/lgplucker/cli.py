@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from math import comb
 from typing import Any, List, Optional
 
@@ -255,6 +257,13 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
+def _digits(x: int) -> str:
+    """x in decimal digits. str(x) refuses past sys.get_int_max_str_digits()
+    (4300 digits by default); a Decimal holds an int exactly and prints it
+    without that limit."""
+    return str(decimal.Decimal(x))
+
+
 def cmd_count(args) -> int:
     formula = symplectic.lagrangian_count(args.n, args.q)
     # the cells check n and q before the cap and build nothing above it,
@@ -263,14 +272,15 @@ def cmd_count(args) -> int:
         enumerated = sum(len(cell) for cell in symplectic.lagrangian_cells(args.n, args.q))
     except ResourceCapError:
         enumerated = None
-    lines = {"n": args.n, "q": args.q, "formula": formula, "enumerated": enumerated}
     ok = enumerated in (None, formula)
     if args.json:
-        print(json.dumps(lines))
+        # what json.dumps writes, but with each count written by _digits
+        doc = {"n": args.n, "q": args.q, "formula": formula, "enumerated": enumerated}
+        print("{" + ", ".join(f'"{k}": {"null" if v is None else _digits(v)}' for k, v in doc.items()) + "}")
     else:
-        print(f"formula {formula}")
-        if lines["enumerated"] is not None:
-            print(f"enumerated {lines['enumerated']}")
+        print(f"formula {_digits(formula)}")
+        if enumerated is not None:
+            print(f"enumerated {enumerated}")
         else:
             print("enumerated (skipped: above cap)")
     return EXIT_OK if ok else EXIT_VERIFY
@@ -333,10 +343,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser of build_parser, built on the first call of main and
+    reused: parse_args keeps nothing between calls and returns a new
+    Namespace each time."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -557,10 +557,12 @@ class RankCriterionViolation(Exception):
 def _relation_rank(n: int, field: Field) -> int:
     """Rank of the relation matrix B(n) over field, from its block structure.
 
-    B(n) is built and decomposed afresh, every block checked against its
-    atlas member, and the rank summed block by block (see
+    B(n) is built and decomposed on every call, every block checked
+    against its atlas member, and the rank summed block by block (see
     ``BlockDecomposition.rank``): only the atlas members are eliminated,
-    never B itself.
+    never B itself. The atlas members and the free-part classes of B's
+    labels are built once per process (see ``blocks.decompose``); the
+    elimination of each member runs on every call.
     """
     from .blocks import decompose
     from .frlc import build_plucker_matrix

@@ -697,6 +697,61 @@ class TestCanonicalOrder:
         assert dec.census() == {"L4": 14, "L3": 280, "L2": 672}
 
 
+class TestPerProcessTables:
+    """What m and n alone fix is built once per process and shared; what
+    a given B could get wrong is still checked on every call."""
+
+    def test_atlas_member_built_once_and_shared(self):
+        assert incidence_matrix(6) is incidence_matrix(6)
+        assert atlas(7)[0] is incidence_matrix(6)
+        assert all(decompose(bmatrix(7)).references[m] is incidence_matrix(m) for m in (6, 4, 2))
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_shared_member_is_read_only(self, m):
+        mat = incidence_matrix(m)
+        for a in (mat.indptr, mat.indices):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert type(mat.row_labels) is tuple and type(mat.col_labels) is tuple
+        assert mat == literal_incidence_matrix(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_class_table_is_read_only_and_groups_as_dicts_do(self, n):
+        t = lgplucker.blocks._class_table(n)
+        assert lgplucker.blocks._class_table(n) is t
+        for a in (t.rows, t.cols, t.row_cls, t.col_cls, t.local, t.row_m):
+            assert not a.flags.writeable
+        # the oracle: free parts as dict keys, numbered in first-seen order
+        b = bmatrix(n)
+        classes = {}
+        for t_row in b.row_tuples:
+            classes.setdefault(split_free_pairs(t_row, n).free, len(classes))
+        assert t.row_cls.tolist() == [classes[split_free_pairs(x, n).free] for x in b.row_tuples]
+        assert t.col_cls.tolist() == [classes.get(split_free_pairs(x, n).free, len(classes)) for x in b.col_tuples]
+        assert t.m == [n - len(free) for free in classes]
+
+    def test_warm_tables_still_check_each_b(self, monkeypatch):
+        # after a good decompose(B(5)) the tables are warm; a B(5) whose
+        # row (1, 2, 9), in an L(4) block, drops its first 1 still fails the
+        # array checks, falls back to the class-by-class pass and raises
+        # its witness
+        b = bmatrix(5)
+        decompose(b)
+        supports = list(b.row_supports)
+        i = b.row_tuples.index((1, 2, 9))
+        supports[i] = supports[i][1:]
+        bad = corrupted(b, supports=supports)
+        passes = []
+        class_blocks = lgplucker.blocks._class_blocks
+        monkeypatch.setattr(lgplucker.blocks, "_class_blocks", lambda *args: passes.append(1) or class_blocks(*args))
+        got = outcome(decompose, bad)
+        assert passes == [1]
+        assert got == outcome(literal_decompose, bad)
+        assert got == (BlockEquivalenceError, "bit mismatch at block row (2,), column (2, 3)")
+        assert outcome(decompose, b) == outcome(literal_decompose, b) and passes == [1]
+
+
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
 def test_atlas_rank_matches_wilson(m, p):

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
-from lgplucker import blocks
+from lgplucker import blocks, cli
 from lgplucker.cli import main
 from lgplucker.formats import parse_alist, parse_coord, matrix_data
 from conftest import bmatrix, wilson_rank
@@ -336,6 +337,27 @@ class TestCount:
             formula *= 1 + q**i
         assert capsys.readouterr().out == f"formula {formula}\nenumerated (skipped: above cap)\n"
 
+    @pytest.mark.parametrize("n,q,flags", [(200, 2, []), (30, 2147483629, ["--json"])])
+    def test_formula_past_the_int_str_limit(self, n, q, flags, capsys):
+        # str() refuses ints of more than 4300 digits; the count is printed
+        # in full all the same
+        assert main(["count", "--n", str(n), "--q", str(q)] + flags) == 0
+        out = capsys.readouterr().out
+        digits = re.search(r'formula"?:? (\d+)', out).group(1)
+        if flags:
+            assert out == f'{{"n": {n}, "q": {q}, "formula": {digits}, "enumerated": null}}\n'
+        else:
+            assert out == f"formula {digits}\nenumerated (skipped: above cap)\n"
+        assert len(digits) > 4300
+        formula = 1
+        for i in range(1, n + 1):
+            formula *= 1 + q**i
+        # read back 1000 digits at a time, each piece under the limit
+        value = 0
+        for k in range(0, len(digits), 1000):
+            value = value * 10 ** len(digits[k : k + 1000]) + int(digits[k : k + 1000])
+        assert value == formula
+
     def test_largest_prime_under_the_cap(self, capsys):
         # one cell of 999983 points and one of a single point
         assert main(["count", "--n", "1", "--q", "999983"]) == 0
@@ -400,3 +422,44 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["build"]) == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaves anything in
+    it that the next call would see."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert [main(["rank", "--n", "3"]), main(["frobnicate"]), main(["count", "--n", "2", "--q", "3"])] == [0, 1, 0]
+        assert built == [1]
+
+    def test_json_flag_is_not_kept(self, capsys):
+        assert main(["rank", "--n", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 6
+        assert main(["rank", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "rank B(n=3) over QQ: 6 of 6 (surjective); embedding rank 14\n"
+
+    def test_out_is_not_kept(self, tmp_path, capsys):
+        out = tmp_path / "b3.coord"
+        assert main(["build", "--n", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "B(n=3): 6 x 20, nnz 12\n"
+        assert main(["build", "--n", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "B(n=3): 6 x 20, nnz 12\n"
+        assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == BUILD_SHA256[3, "coord"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_SHA256[3, "coord"]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["rank"], ["rank", "--n", "x"], ["rank", "--n", "7", "--char", "2", "--out", "f"],
+        ["decompose", "--n", "7", "--json"], ["count", "--n", "3", "--q", "5", "--seed", "1"],
+    ])
+    def test_usage_error_then_a_pinned_call(self, argv, capsys):
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert main(["rank", "--n", "7", "--char", "2", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == RANK_N7_SHA256[2]
+        assert main(["decompose", "--n", "7"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == DECOMPOSE_SHA256[7]
