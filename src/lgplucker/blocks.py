@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, binomials, index_tuples, paired_entries, tuple_array
+from .combinatorics import IndexTuple, binomials, index_tuples, split_free_pairs, tuple_array
 from .fields import Field
 from .frlc import PlueckerMatrix
 from .symplectic import coordinates
@@ -44,7 +44,7 @@ class DecompositionError(Exception):
 
 
 class BlockEquivalenceError(DecompositionError):
-    """A block does not match its atlas member under pair renumbering."""
+    """A block of the relation matrix differs from its atlas member L(m)."""
 
 
 class IncidenceMatrix(linalg.BinaryMatrix):
@@ -160,60 +160,17 @@ def check_regularity(mat: IncidenceMatrix) -> RegularityReport:
     )
 
 
-def verify_block_equiv(block: IncidenceMatrix, reference: IncidenceMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Row and column permutations carrying the block onto the reference.
-
-    The block's labels use original pair indices; the order-preserving
-    renumbering of its surviving pairs onto 1..m is the only relabeling
-    tried. Returns (row_perm, col_perm) with block[i, j] ==
-    reference[row_perm[i], col_perm[j]]; raises BlockEquivalenceError
-    otherwise, naming the first differing row and column.
-    """
-    if block.shape != reference.shape or block.m != reference.m:
-        raise BlockEquivalenceError(
-            f"shape mismatch: block {block.shape} (m={block.m}) vs reference "
-            f"{reference.shape} (m={reference.m})"
-        )
-    lows = sorted({x for lbl in block.col_labels for x in lbl})
-    if len(lows) != block.m:
-        raise BlockEquivalenceError(f"block columns mention {len(lows)} pairs, expected {block.m}")
-    renumber = {low: k + 1 for k, low in enumerate(lows)}
-    ref_row_pos = {lbl: i for i, lbl in enumerate(reference.row_labels)}
-    ref_col_pos = {lbl: j for j, lbl in enumerate(reference.col_labels)}
-    try:
-        row_perm = tuple(ref_row_pos[tuple(renumber[x] for x in lbl)] for lbl in block.row_labels)
-        col_perm = tuple(ref_col_pos[tuple(renumber[x] for x in lbl)] for lbl in block.col_labels)
-    except KeyError as exc:
-        raise BlockEquivalenceError(f"relabeled subset {exc} missing from the reference") from exc
-    if len(set(col_perm)) < len(col_perm):
-        raise BlockEquivalenceError("two block columns carry the same label")
-    differ = block.bits != reference.bits[np.ix_(row_perm, col_perm)]
-    if differ.any():
-        i, j = divmod(int(differ.argmax()), block.cols)
-        raise BlockEquivalenceError(f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}")
-    return row_perm, col_perm
-
-
 @dataclass
 class Block:
-    """One decomposition block: a copy of an atlas member under B's labels.
-
-    On B's canonical labels the block is L(m) as it stands, so both
-    permutations are the identity; ``decompose``'s class-by-class pass
-    fills them in from ``verify_block_equiv`` for labels in another order.
-    """
+    """One decomposition block: the atlas member L(m) as it stands, its
+    rows and columns those of B's class with this free part, in B's
+    order, labelled by their pair lows."""
 
     free: IndexTuple
     m: int
     row_tuples: Tuple[IndexTuple, ...]
     col_tuples: Tuple[IndexTuple, ...]
     matrix: IncidenceMatrix
-    row_perm: Tuple[int, ...]
-    col_perm: Tuple[int, ...]
-
-    @property
-    def label(self) -> str:
-        return f"L{r_value(self.m)}"
 
 
 @dataclass
@@ -223,10 +180,9 @@ class BlockDecomposition:
     ``references`` maps each m that occurs to the atlas member L(m) its
     blocks were checked against, and ``counts`` maps it to the number of
     those blocks. ``blocks`` lists them in first-seen order of their free
-    parts. On B's canonical labels every block is L(m) as it stands, with
-    identity permutations, and the list is sliced, when first read, from
-    the class order ``decompose`` computed; nothing is checked again. The
-    census and the rank need only the counts.
+    parts; every block is L(m) as it stands, and the list is sliced, when
+    first read, from the class order ``decompose`` computed; nothing is
+    checked again. The census and the rank need only the counts.
     """
 
     n: int
@@ -247,68 +203,11 @@ class BlockDecomposition:
         """Rank of the decomposed matrix over field.
 
         The matrix is the direct sum of its blocks and zero columns, and
-        each block is its atlas member L(m) up to row and column
-        permutations, so its rank is the sum over m of the number of
-        blocks with that m times rank(L(m)). Only the distinct atlas
-        members are eliminated.
+        each block is its atlas member L(m) as it stands, so its rank is
+        the sum over m of the number of blocks with that m times
+        rank(L(m)). Only the distinct atlas members are eliminated.
         """
         return sum(c * linalg.rank(self.references[m].to_exact(field)) for m, c in self.counts.items())
-
-
-def _class_blocks(
-    b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]
-) -> Tuple[List[Block], Tuple[IndexTuple, ...]]:
-    """decompose one class of rows at a time, in first-seen order of their
-    free parts, each block checked by verify_block_equiv against
-    references[m] (added when missing): the blocks and the zero columns.
-    Raises DecompositionError, naming the witness, at the first column
-    claimed by two classes or the first block that fails, then at an
-    uncovered column with a complete pair or a column count other than
-    C(2n, n)."""
-    n = b.n
-    supports = b.row_supports
-    classes: Dict[IndexTuple, List[int]] = {}
-
-    def label(t: IndexTuple, paired: List[bool]) -> PairTuple:
-        return tuple([x for x, p in zip(t, paired) if p and x <= n])
-
-    row_paired = paired_entries(tuple_array(b.row_tuples, n - 2), n).tolist()
-    for i, (t, pt) in enumerate(zip(b.row_tuples, row_paired)):
-        classes.setdefault(tuple([x for x, p in zip(t, pt) if not p]), []).append(i)
-    row_labels = list(map(label, b.row_tuples, row_paired))
-    col_labels = list(map(label, b.col_tuples, paired_entries(tuple_array(b.col_tuples, n), n).tolist()))
-    owner: List[IndexTuple | None] = [None] * len(b.col_tuples)
-    blocks = []
-    for free, rows_idx in classes.items():
-        m = n - len(free)
-        if m not in references:
-            references[m] = incidence_matrix(m)
-        col_idx = sorted({j for i in rows_idx for j in supports[i]})
-        for j in col_idx:
-            if owner[j] is not None:
-                raise DecompositionError(
-                    f"column {b.col_tuples[j]} is claimed by the blocks of free parts {owner[j]} and {free}"
-                )
-            owner[j] = free
-        col_pos = {j: k for k, j in enumerate(col_idx)}
-        mat = IncidenceMatrix(
-            m,
-            linalg.BinaryMatrix(len(rows_idx), len(col_idx), [[col_pos[j] for j in supports[i]] for i in rows_idx]),
-            tuple(row_labels[i] for i in rows_idx),
-            tuple(col_labels[j] for j in col_idx),
-        )
-        row_perm, col_perm = verify_block_equiv(mat, references[m])
-        row_tuples, col_tuples = tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx)
-        blocks.append(Block(free, m, row_tuples, col_tuples, mat, row_perm, col_perm))
-    zero = [j for j, o in enumerate(owner) if o is None]
-    stray = [j for j in zero if col_labels[j]]
-    if stray:
-        raise DecompositionError(f"uncovered column {b.col_tuples[stray[0]]} contains a complete pair")
-    if b.cols != comb(2 * n, n):
-        raise DecompositionError(
-            f"{b.cols - len(zero)} block columns and {len(zero)} zero columns, expected {comb(2 * n, n)} in all"
-        )
-    return blocks, tuple(b.col_tuples[j] for j in zero)
 
 
 class _ClassTable(NamedTuple):
@@ -358,23 +257,33 @@ def _class_table(n: int) -> _ClassTable:
     )
 
 
-def _direct_sum(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _ClassTable | None:
-    """B's class table if its labels are the canonical tuples of
-    ``coordinates``, each one of B joins a row and a column of one class,
-    and each class's block, rows and columns in B's order, is
-    references[m] (added when missing) as it stands; None otherwise.
-    The table is that of the labels; everything else is checked on B."""
+def _check_labels(kind: str, labels: Tuple[IndexTuple, ...], canonical: List[IndexTuple]) -> None:
+    """Raise DecompositionError unless labels are the canonical tuples,
+    naming the first position where they differ, or both counts when one
+    list is a prefix of the other."""
+    if labels == tuple(canonical):
+        return
+    for k, (got, want) in enumerate(zip(labels, canonical)):
+        if got != want:
+            raise DecompositionError(f"{kind} {k} is labelled {got}, expected {want} in the canonical order")
+    raise DecompositionError(f"{len(labels)} {kind} labels, expected {len(canonical)}")
+
+
+def _direct_sum(b: PlueckerMatrix) -> _ClassTable:
+    """B's class table, once every check of ``decompose`` has passed on B;
+    otherwise raises DecompositionError, its witness named from the
+    arrays of the check that failed."""
     n = b.n
-    rows, cols = coordinates(n - 2, n), coordinates(n, n)
-    if b.row_tuples != tuple(rows.tuples) or b.col_tuples != tuple(cols.tuples):
-        return None
+    _check_labels("row", b.row_tuples, coordinates(n - 2, n).tuples)
+    _check_labels("column", b.col_tuples, coordinates(n, n).tuples)
     c = _class_table(n)
-    for mm in c.counts:
-        if mm not in references:
-            references[mm] = incidence_matrix(mm)
     e_row = b.row_ids()
-    if (c.row_cls[e_row] != c.col_cls[b.indices]).any():
-        return None
+    outside = np.flatnonzero(c.row_cls[e_row] != c.col_cls[b.indices])
+    if len(outside):
+        e = outside[0]  # B's ones are in row-major order
+        raise DecompositionError(
+            f"the one at row {b.row_tuples[e_row[e]]}, column {b.col_tuples[b.indices[e]]} lies outside its class"
+        )
     # the labels give each class the shape of its L(m): the (m - 2)/2 and
     # the m/2 of the m pairs outside its free part. B's rows and their
     # ones class by class: the blocks of each m, rows and columns in B's
@@ -383,19 +292,37 @@ def _direct_sum(b: PlueckerMatrix, references: Dict[int, IncidenceMatrix]) -> _C
     one_order = np.argsort(c.row_cls[e_row], kind="stable")
     ones, one_m = c.local[b.indices[one_order]], c.row_m[e_row[one_order]]
     for mm, count in c.counts.items():
-        ref = references[mm]
+        ref = incidence_matrix(mm)
         if not (
             np.array_equal(weights[weight_m == mm], np.tile(np.diff(ref.indptr), count))
             and np.array_equal(ones[one_m == mm], np.tile(ref.indices, count))
         ):
-            return None
+            raise _block_mismatch(b, c, mm)
     return c
+
+
+def _block_mismatch(b: PlueckerMatrix, c: _ClassTable, m: int) -> BlockEquivalenceError:
+    """The error naming, by pair lows, the first differing entry of the
+    first block of m that is not L(m). The blocks are compared densely,
+    so this runs only once the tiled comparison of m has failed."""
+    ref_bits = incidence_matrix(m).bits
+    for k in (k for k, mk in enumerate(c.m) if mk == m):
+        rows = c.rows[c.row_start[k] : c.row_start[k + 1]].tolist()
+        bits = np.zeros_like(ref_bits)
+        for r, i in enumerate(rows):
+            bits[r, c.local[b.indices[b.indptr[i] : b.indptr[i + 1]]]] = 1
+        differ = np.argwhere(bits != ref_bits)
+        if len(differ):
+            i, j = differ[0].tolist()
+            row, col = b.row_tuples[rows[i]], b.col_tuples[c.cols[c.col_start[k] + j]]
+            row_l, col_l = (tuple(p.low for p in split_free_pairs(t, b.n).pairs) for t in (row, col))
+            return BlockEquivalenceError(f"bit mismatch at block row {row_l}, column {col_l}")
 
 
 def _sliced_blocks(b: PlueckerMatrix, c: _ClassTable, references: Dict[int, IncidenceMatrix]) -> List[Block]:
     """The blocks of b, in first-seen order of their free parts, sliced
     from the class table of _direct_sum: each one's matrix is the arrays
-    of its L(m) under B's pair lows, its permutations the identity."""
+    of its L(m) under B's pair lows."""
     n = b.n
     rows, cols = coordinates(n - 2, n), coordinates(n, n)
     shared: Dict[PairTuple, PairTuple] = {}  # one tuple per distinct label, for all the blocks
@@ -407,7 +334,6 @@ def _sliced_blocks(b: PlueckerMatrix, c: _ClassTable, references: Dict[int, Inci
     row_l = nonzero_tuples(np.where(rows.paired & (rows.array <= n), rows.array, 0)[c.rows])
     col_l = nonzero_tuples(np.where(cols.paired & (cols.array <= n), cols.array, 0)[c.cols])
     free = nonzero_tuples(np.where(rows.paired, 0, rows.array)[c.rows[c.row_start[:-1]]])
-    identity = {m: (tuple(range(ref.rows)), tuple(range(ref.cols))) for m, ref in references.items()}
     rs, cs = c.row_start, c.col_start
     out = []
     for k, m in enumerate(c.m):
@@ -415,25 +341,26 @@ def _sliced_blocks(b: PlueckerMatrix, c: _ClassTable, references: Dict[int, Inci
         labels = tuple(row_l[r0:r1]), tuple(col_l[c0:c1])
         mat = IncidenceMatrix._checked(ref.rows, ref.cols, ref.indptr, ref.indices, *labels)
         mat.m = m
-        out.append(Block(free[k], m, tuple(row_t[r0:r1]), tuple(col_t[c0:c1]), mat, *identity[m]))
+        out.append(Block(free[k], m, tuple(row_t[r0:r1]), tuple(col_t[c0:c1]), mat))
     return out
 
 
 def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     """Split the relation matrix into its incidence blocks and verify each.
 
-    Rows and columns are grouped by the free part of their tuple. On the
-    canonical labels of ``build_plucker_matrix`` every block is its atlas
+    B's labels must be the canonical tuples of ``coordinates``, the order
+    that ``build_plucker_matrix`` gives. Rows and columns are grouped by
+    the free part of their tuple. In that order every block is its atlas
     member L(m), m = n - (free size), as it stands: within a class the
     tuples share their free entries and each pair low lies below every
     pair high, so their lexicographic order is that of their pair lows,
     which the order-preserving renumbering onto 1..m keeps. So decompose
     checks that each one of B joins a row and a column of one class, and
     that each class's block, rows and columns in B's order, has L(m)'s
-    CSR arrays; no label is renumbered or ranked and both permutations are
-    the identity. The columns of no class are those without a complete
-    pair, the zero columns, and the labels hold C(2n, n) columns: B is
-    then the direct sum of its blocks and the zero columns.
+    CSR arrays; no label is renumbered or ranked. The columns of no class
+    are those without a complete pair, the zero columns, and the labels
+    hold C(2n, n) columns: B is then the direct sum of its blocks and the
+    zero columns.
 
     What n and m alone fix is built once per process and shared: the
     atlas members (``incidence_matrix``) and the class of every canonical
@@ -441,15 +368,12 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     labels against the canonical ones, each of its ones against the
     classes, and its arrays against the tiled L(m).
 
-    For labels in another order, or when a check fails, the classes are
-    gone through one by one with ``verify_block_equiv``, each restricted
-    to the columns its rows touch: that pass returns the blocks with
-    their permutations or raises DecompositionError, naming the witness.
+    A failed check raises DecompositionError naming its witness: the
+    first label out of the canonical order, the first one of B, in
+    row-major order, outside its class, or, as BlockEquivalenceError, the
+    first differing entry of the first block of that m other than L(m).
     """
-    references: Dict[int, IncidenceMatrix] = {}
-    c = _direct_sum(b, references)
-    if c is None:
-        blocks, zero_cols = _class_blocks(b, references)
-        return BlockDecomposition(b.n, zero_cols, references, dict(Counter(blk.m for blk in blocks)), blocks.copy)
+    c = _direct_sum(b)
+    references = {m: incidence_matrix(m) for m in c.counts}
     zero_cols = tuple(b.col_tuples[j] for j in c.cols[c.col_start[-2] :].tolist())
     return BlockDecomposition(b.n, zero_cols, references, dict(c.counts), partial(_sliced_blocks, b, c, references))

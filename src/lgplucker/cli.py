@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import random
 import sys
 import time
@@ -107,8 +108,8 @@ def cmd_decompose(args) -> int:
     parts = [f"{count}×{label}" for label, count in census.items()]
     parts.append(f"zero-cols {len(dec.zero_columns)}")
     print(", ".join(parts))
-    # each block is its atlas member up to row and column permutations,
-    # which keep regularity, so each member is checked once for its blocks
+    # each block is its atlas member as it stands, so each member is
+    # checked once for all its blocks
     bad = 0
     for m in sorted(dec.counts, reverse=True):
         report = blocks.check_regularity(dec.references[m])
@@ -357,7 +358,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader gone away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone away: point stdout at devnull, so
+        # that nothing fails again when Python flushes it at shutdown (see
+        # "Note on SIGPIPE" in the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

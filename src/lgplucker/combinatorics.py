@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 from math import comb
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -50,27 +50,6 @@ def tuple_rank(t: IndexTuple, bound: int) -> int:
     # the tuples after t: for each position q, those that agree with t
     # before q and exceed t[q] there
     return comb(bound, len(t)) - 1 - sum(comb(bound - c, len(t) - q) for q, c in enumerate(t))
-
-
-def tuple_unrank(r: int, length: int, bound: int) -> IndexTuple:
-    """Inverse of tuple_rank: the index tuple at lexicographic position r."""
-    if length < 0 or length > bound:
-        raise ValueError(f"length {length} out of range for bound {bound}")
-    total = comb(bound, length)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} out of range [0, {total})")
-    out = []
-    c = 1
-    for pos in range(length):
-        while True:
-            block = comb(bound - c, length - pos - 1)
-            if r < block:
-                break
-            r -= block
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
 
 
 def tuple_array(tuples: Sequence[IndexTuple], length: int) -> np.ndarray:
@@ -149,18 +128,3 @@ def paired_entries(tuples: np.ndarray, n: int) -> np.ndarray:
         out[:, q] = member[rows, 2 * n + 1 - col]
     return out
 
-
-def row_partition(n: int) -> Dict[IndexTuple, List[IndexTuple]]:
-    """Group the (n-2)-tuples over [1, 2n] by the free part of their split.
-
-    The classes partition the whole index set; within one class the free
-    part is fixed and the complete pairs vary over the pairs disjoint from
-    it. Class keys appear in first-seen (hence lexicographic) order.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    classes: Dict[IndexTuple, List[IndexTuple]] = {}
-    for t in index_tuples(n - 2, 2 * n):
-        free = split_free_pairs(t, n).free
-        classes.setdefault(free, []).append(t)
-    return classes

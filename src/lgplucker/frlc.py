@@ -22,9 +22,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, binomials, split_free_pairs, validate_index_tuple
+from .combinatorics import IndexTuple, binomials, validate_index_tuple
 from .errors import BUILD_CAP, ResourceCapError
-from .fields import Field, QQ, Scalar
+from .fields import Field, Scalar
 from .symplectic import ExteriorVector, arranged_coordinates, coordinates
 
 
@@ -105,21 +105,6 @@ class PlueckerMatrix(linalg.BinaryMatrix):
         return (sums % p).tolist() if p else [Fraction(v, d) for v in sums.tolist()]
 
 
-def contraction_functional(gamma: IndexTuple, n: int, field: Field = QQ) -> LinearFunctional:
-    """The relation attached to gamma: coefficient 1 at gamma union each
-    disjoint complementary pair."""
-    gamma = tuple(gamma)
-    validate_index_tuple(gamma, 2 * n, length=n - 2)
-    support = set(gamma)
-    coeffs: Dict[IndexTuple, Scalar] = {}
-    for i in range(1, n + 1):
-        ibar = 2 * n + 1 - i
-        if i in support or ibar in support:
-            continue
-        coeffs[tuple(sorted(gamma + (i, ibar)))] = field.one
-    return LinearFunctional(n, field, coeffs)
-
-
 def build_plucker_matrix(n: int) -> PlueckerMatrix:
     """Assemble the full relation matrix for half-dimension n (2 <= n <= 7)."""
     if n < 2:
@@ -147,12 +132,6 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
     indptr = np.zeros(len(g) + 1, dtype=np.int64)
     np.cumsum(disjoint.sum(axis=1), out=indptr[1:])
     return PlueckerMatrix(n, rows.tuples, coordinates(n, n).tuples, csr=(indptr, ranks[disjoint]))
-
-
-def row_weight_law(gamma: IndexTuple, n: int) -> int:
-    """Predicted weight of row gamma: n minus its pair count minus its free count."""
-    split = split_free_pairs(gamma, n)
-    return n - len(split.pairs) - len(split.free)
 
 
 def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[LinearFunctional]:

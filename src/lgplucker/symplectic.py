@@ -58,11 +58,6 @@ def basis_pairing(i: int, j: int, n: int) -> int:
     return 1 if i < j else -1
 
 
-def gram_matrix(n: int) -> List[List[int]]:
-    """The 2n x 2n Gram matrix of the basis pairing."""
-    return [[basis_pairing(i, j, n) for j in range(1, 2 * n + 1)] for i in range(1, 2 * n + 1)]
-
-
 def pairing(x: Sequence, y: Sequence, n: int, field: Field) -> Scalar:
     """Bilinear extension of the basis pairing to coordinate vectors."""
     if len(x) != 2 * n or len(y) != 2 * n:

@@ -3,7 +3,7 @@
 from functools import lru_cache
 from math import comb
 
-from lgplucker import GF, build_plucker_matrix, lagrangian_subspaces, plucker_vector
+from lgplucker import GF, build_plucker_matrix, index_tuples, lagrangian_subspaces, plucker_vector, split_free_pairs
 
 
 @lru_cache(maxsize=None)
@@ -31,3 +31,18 @@ def wilson_rank(m, p):
         for i in range(k)
         if p == 0 or (k - i) % p
     )
+
+
+def row_partition(n):
+    """Group the (n-2)-tuples over [1, 2n] by the free part of their split.
+
+    The classes partition the whole index set; within one class the free
+    part is fixed and the complete pairs vary over the pairs disjoint from
+    it. Class keys appear in first-seen (hence lexicographic) order.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    classes = {}
+    for t in index_tuples(n - 2, 2 * n):
+        classes.setdefault(split_free_pairs(t, n).free, []).append(t)
+    return classes

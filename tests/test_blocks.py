@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -21,14 +23,12 @@ from lgplucker import (
     incidence_matrix,
     r_value,
     rank,
-    row_partition,
     split_free_pairs,
-    verify_block_equiv,
 )
 import lgplucker.blocks
 import lgplucker.frlc
 from lgplucker.linalg import BinaryMatrix
-from conftest import bmatrix, wilson_rank
+from conftest import bmatrix, row_partition, wilson_rank
 
 
 def literal_incidence_matrix(m):
@@ -225,6 +225,45 @@ def gram_regularity(mat):
     )
 
 
+def verify_block_equiv(block, reference):
+    """Row and column permutations carrying the block onto the reference.
+
+    The block's labels use original pair indices; the order-preserving
+    renumbering of its surviving pairs onto 1..m is the only relabeling
+    tried. Returns (row_perm, col_perm) with block[i, j] ==
+    reference[row_perm[i], col_perm[j]]; raises BlockEquivalenceError
+    otherwise, naming the first differing row and column. The oracle of
+    literal_decompose: it accepts a block in any order of its labels.
+    """
+    if block.shape != reference.shape or block.m != reference.m:
+        raise BlockEquivalenceError(
+            f"shape mismatch: block {block.shape} (m={block.m}) vs reference "
+            f"{reference.shape} (m={reference.m})"
+        )
+    lows = sorted({x for lbl in block.col_labels for x in lbl})
+    if len(lows) != block.m:
+        raise BlockEquivalenceError(f"block columns mention {len(lows)} pairs, expected {block.m}")
+    renumber = {low: k + 1 for k, low in enumerate(lows)}
+    ref_row_pos = {lbl: i for i, lbl in enumerate(reference.row_labels)}
+    ref_col_pos = {lbl: j for j, lbl in enumerate(reference.col_labels)}
+    try:
+        row_perm = tuple(ref_row_pos[tuple(renumber[x] for x in lbl)] for lbl in block.row_labels)
+        col_perm = tuple(ref_col_pos[tuple(renumber[x] for x in lbl)] for lbl in block.col_labels)
+    except KeyError as exc:
+        raise BlockEquivalenceError(f"relabeled subset {exc} missing from the reference") from exc
+    if len(set(col_perm)) < len(col_perm):
+        raise BlockEquivalenceError("two block columns carry the same label")
+    differ = block.bits != reference.bits[np.ix_(row_perm, col_perm)]
+    if differ.any():
+        i, j = divmod(int(differ.argmax()), block.cols)
+        raise BlockEquivalenceError(f"bit mismatch at block row {block.row_labels[i]}, column {block.col_labels[j]}")
+    return row_perm, col_perm
+
+
+def identity(mat):
+    return tuple(range(mat.rows)), tuple(range(mat.cols))
+
+
 class TestBlockEquivalence:
     def test_reference_is_self_equivalent(self):
         ref = incidence_matrix(4)
@@ -281,10 +320,13 @@ def literal_block_equiv(block, reference, row_perm, col_perm):
 class TestBlockCheckOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_agrees_on_every_block(self, n):
+        # on the canonical labels both oracles carry each block onto its
+        # L(m) by the identity
         dec = decompose(bmatrix(n))
         for blk in dec.blocks:
-            assert verify_block_equiv(blk.matrix, dec.references[blk.m]) == (blk.row_perm, blk.col_perm)
-            literal_block_equiv(blk.matrix, dec.references[blk.m], blk.row_perm, blk.col_perm)
+            ref = dec.references[blk.m]
+            assert verify_block_equiv(blk.matrix, ref) == identity(ref)
+            literal_block_equiv(blk.matrix, ref, *identity(ref))
 
     @staticmethod
     def assert_both_name(blk, ref, bits, i, j):
@@ -292,7 +334,7 @@ class TestBlockCheckOracle:
         with pytest.raises(BlockEquivalenceError) as fast:
             verify_block_equiv(bad, ref)
         with pytest.raises(BlockEquivalenceError) as literal:
-            literal_block_equiv(bad, ref, blk.row_perm, blk.col_perm)
+            literal_block_equiv(bad, ref, *identity(ref))
         assert str(fast.value) == str(literal.value)
         assert str(fast.value).endswith(f"row {bad.row_labels[i]}, column {bad.col_labels[j]}")
 
@@ -408,34 +450,12 @@ def corrupted(b, supports=None, col_tuples=None):
     )
 
 
-class TestDirectSum:
-    def test_column_claimed_by_two_blocks(self):
-        # the first class, free part (1, 2), owns the column (1, 2, 3, 6);
-        # a row of the class with free part (1, 3) claims it as well
-        b = bmatrix(4)
-        shared = b.col_tuples.index((1, 2, 3, 6))
-        supports = list(b.row_supports)
-        row = b.row_tuples.index((1, 3))
-        supports[row] = tuple(sorted(supports[row] + (shared,)))
-        with pytest.raises(DecompositionError, match=r"column \(1, 2, 3, 6\) is claimed by the blocks of free parts \(1, 2\) and \(1, 3\)"):
-            decompose(corrupted(b, supports=supports))
-
-    def test_widths_and_zero_columns_must_fill_the_columns(self):
-        b = bmatrix(4)
-        extra = corrupted(b, col_tuples=list(b.col_tuples) + [(1, 2, 3, 4)])
-        with pytest.raises(DecompositionError, match="54 block columns and 17 zero columns, expected 70 in all"):
-            decompose(extra)
-
-    def test_n7_column_split(self):
-        dec = decompose(bmatrix(7))
-        assert (sum(len(blk.col_tuples) for blk in dec.blocks), len(dec.zero_columns)) == (3304, 128)
-
-
 def literal_decompose(b):
-    """decompose one class at a time: claim the columns each class
-    touches, in first-seen order of the free parts, then run
-    verify_block_equiv on its block. Returns (blocks, zero columns)."""
-    n = b.n
+    """decompose one class at a time, in any order of the labels: claim
+    the columns each class touches, in first-seen order of the free
+    parts, then run verify_block_equiv on its block. Returns (blocks,
+    zero columns)."""
+    n, supports = b.n, b.row_supports
 
     def lows(t):
         return tuple(p.low for p in split_free_pairs(t, n).pairs)
@@ -447,7 +467,7 @@ def literal_decompose(b):
     blocks = []
     for free, rows_idx in classes.items():
         m = n - len(free)
-        col_idx = sorted({j for i in rows_idx for j in b.row_supports[i]})
+        col_idx = sorted({j for i in rows_idx for j in supports[i]})
         for j in col_idx:
             if owner[j] is not None:
                 raise DecompositionError(
@@ -457,15 +477,12 @@ def literal_decompose(b):
         col_pos = {j: k for k, j in enumerate(col_idx)}
         mat = IncidenceMatrix(
             m,
-            BinaryMatrix(len(rows_idx), len(col_idx), [[col_pos[j] for j in b.row_supports[i]] for i in rows_idx]),
+            BinaryMatrix(len(rows_idx), len(col_idx), [[col_pos[j] for j in supports[i]] for i in rows_idx]),
             tuple(lows(b.row_tuples[i]) for i in rows_idx),
             tuple(lows(b.col_tuples[j]) for j in col_idx),
         )
-        row_perm, col_perm = verify_block_equiv(mat, incidence_matrix(m))
-        blocks.append(
-            Block(free, m, tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx),
-                  mat, row_perm, col_perm)
-        )
+        verify_block_equiv(mat, incidence_matrix(m))
+        blocks.append(Block(free, m, tuple(b.row_tuples[i] for i in rows_idx), tuple(b.col_tuples[j] for j in col_idx), mat))
     zero = []
     for j, t in enumerate(b.col_tuples):
         if owner[j] is None:
@@ -488,18 +505,127 @@ def outcome(decomposer, b):
     return dec if isinstance(dec, tuple) else (dec.blocks, dec.zero_columns)
 
 
+def rejection(bad):
+    """The DecompositionError decompose raises on bad, None if it accepts bad."""
+    try:
+        decompose(bad)
+    except DecompositionError as exc:
+        return exc
+    return None
+
+
+TUPLE = r"(\([\d, ]*\))"
+WITNESSES = {
+    "label": re.compile(rf"(row|column) (\d+) is labelled {TUPLE}, expected {TUPLE} in the canonical order"),
+    "count": re.compile(r"(\d+) (row|column) labels, expected (\d+)"),
+    "one": re.compile(rf"the one at row {TUPLE}, column {TUPLE} lies outside its class"),
+    "bit": re.compile(rf"bit mismatch at block row {TUPLE}, column {TUPLE}"),
+}
+
+
+def witness(bad):
+    """The kind of witness decompose names for bad, after checking that it
+    holds: a label that differs from B(n)'s where every earlier one
+    agrees, or label counts where one list is a prefix of the other; a
+    one of bad that B(n) lacks, its row and column in different classes;
+    or an entry of some class's block, named by pair lows, that differs
+    between bad and B(n). None when decompose accepts bad."""
+    exc = rejection(bad)
+    if exc is None:
+        return None
+    message, n = str(exc), bad.n
+    b = bmatrix(n)
+    kind, match = next((kind, m) for kind, pattern in WITNESSES.items() if (m := pattern.fullmatch(message)))
+    if kind in ("label", "count"):
+        axis = match[1] if kind == "label" else match[2]
+        got, want = (bad.row_tuples, b.row_tuples) if axis == "row" else (bad.col_tuples, b.col_tuples)
+        if kind == "label":
+            k = int(match[2])
+            assert got[:k] == want[:k] and got[k] == ast.literal_eval(match[3]) != want[k] == ast.literal_eval(match[4])
+        else:
+            assert (len(got), len(want)) == (int(match[1]), int(match[3])) and len(got) != len(want)
+            assert got[: len(want)] == want[: len(got)]
+        return kind
+    assert bad.row_tuples == b.row_tuples and bad.col_tuples == b.col_tuples
+    row, col = ast.literal_eval(match[1]), ast.literal_eval(match[2])
+    if kind == "one":
+        i, j = bad.row_tuples.index(row), bad.col_tuples.index(col)
+        assert (bad.entry(i, j), b.entry(i, j)) == (1, 0)
+        assert split_free_pairs(row, n).free != split_free_pairs(col, n).free
+        return kind
+    assert type(exc) is BlockEquivalenceError
+    row_pos = {t: i for i, t in enumerate(b.row_tuples)}
+    col_pos = {t: j for j, t in enumerate(b.col_tuples)}
+
+    def member(free, lows):
+        t = tuple(sorted(free + lows + tuple(2 * n + 1 - x for x in lows)))
+        return t if len(set(t)) == len(t) and split_free_pairs(t, n).free == free else None
+
+    differing = [
+        free
+        for free in row_partition(n)
+        if (i := row_pos.get(member(free, row))) is not None
+        and (j := col_pos.get(member(free, col))) is not None
+        and bad.entry(i, j) != b.entry(i, j)
+    ]
+    assert differing, message
+    return kind
+
+
+def same_verdict(bad):
+    """decompose rejects bad exactly when literal_decompose does, with a
+    witness that holds; the kind of that witness, None on acceptance."""
+    kind = witness(bad)
+    try:
+        literal_decompose(bad)
+    except DecompositionError:
+        assert kind is not None
+    else:
+        assert kind is None
+        assert outcome(decompose, bad) == outcome(literal_decompose, bad)
+    return kind
+
+
+class TestDirectSum:
+    def test_column_claimed_by_two_blocks(self):
+        # the first class, free part (1, 2), owns the column (1, 2, 3, 6);
+        # a row of the class with free part (1, 3) claims it as well: a one
+        # outside its class
+        b = bmatrix(4)
+        shared = b.col_tuples.index((1, 2, 3, 6))
+        supports = list(b.row_supports)
+        row = b.row_tuples.index((1, 3))
+        supports[row] = tuple(sorted(supports[row] + (shared,)))
+        bad = corrupted(b, supports=supports)
+        with pytest.raises(DecompositionError, match=r"^the one at row \(1, 3\), column \(1, 2, 3, 6\) lies outside its class$"):
+            decompose(bad)
+        assert same_verdict(bad) == "one"
+
+    def test_widths_and_zero_columns_must_fill_the_columns(self):
+        b = bmatrix(4)
+        extra = corrupted(b, col_tuples=list(b.col_tuples) + [(1, 2, 3, 4)])
+        with pytest.raises(DecompositionError, match="^71 column labels, expected 70$"):
+            decompose(extra)
+        assert same_verdict(extra) == "count"
+
+    def test_n7_column_split(self):
+        dec = decompose(bmatrix(7))
+        assert (sum(len(blk.col_tuples) for blk in dec.blocks), len(dec.zero_columns)) == (3304, 128)
+
+
 class TestArrayDecomposition:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_the_block_by_block_oracle(self, n):
         # Block equality compares every field: labels, tuples, the block's
-        # ones and labels, row_perm and col_perm
+        # ones and labels
         assert outcome(decompose, bmatrix(n)) == outcome(literal_decompose, bmatrix(n))
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("change", ["add", "drop", "move"])
     def test_corrupted_row_fails_as_the_oracle_does(self, n, change):
-        # one entry added, dropped or moved in one row at a time; the
-        # error type and message must be those of the block-by-block run
+        # one entry added, dropped or moved in one row at a time: decompose
+        # rejects exactly when the block-by-block run does, naming a
+        # witness that holds
         b = bmatrix(n)
         rng = random.Random(f"{n}-{change}")
         kinds = set()
@@ -510,34 +636,47 @@ class TestArrayDecomposition:
             if change in ("add", "move"):
                 row.add(rng.choice([j for j in range(b.cols) if j not in support]))
             bad = corrupted(b, supports=b.row_supports[:i] + (tuple(sorted(row)),) + b.row_supports[i + 1 :])
-            got = outcome(decompose, bad)
-            assert got == outcome(literal_decompose, bad), (i, got)
-            kinds.add(got[1].split()[0])
-        # the corruptions reach more than one of the checks
-        assert len(kinds) >= 2, kinds
+            kinds.add(same_verdict(bad))
+        # none passes; a dropped one stays inside its class
+        assert None not in kinds and (kinds == {"bit"}) == (change == "drop"), kinds
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_corruptions_fail_as_the_oracle_does(self, n):
+        # 300 seeded corruptions per n, each of one to three ones added,
+        # dropped or moved anywhere in B(n)
+        b = bmatrix(n)
+        rng = random.Random(f"fuzz-{n}")
+        kinds = set()
+        for _ in range(300):
+            supports = [set(s) for s in b.row_supports]
+            for _ in range(rng.randint(1, 3)):
+                change, i = rng.choice(["add", "drop", "move"]), rng.randrange(b.rows)
+                if change in ("drop", "move") and supports[i]:
+                    supports[i].discard(rng.choice(sorted(supports[i])))
+                if change in ("add", "move"):
+                    supports[i].add(rng.randrange(b.cols))
+            kinds.add(same_verdict(corrupted(b, supports=[tuple(sorted(s)) for s in supports])))
+        assert {"one", "bit"} <= kinds, kinds
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-    def test_arrays_accept_b_without_the_oracle(self, n, monkeypatch):
-        # the class-by-class pass runs only when an array check fails
-        monkeypatch.setattr(lgplucker.blocks, "_class_blocks", None)
+    def test_arrays_accept_b_without_the_oracle(self, n):
         assert sum(decompose(bmatrix(n)).counts.values()) == len(row_partition(n))
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_swapped_column_labels_fail_as_the_oracle_does(self, n):
-        # two column tuples trade places, so that a class sees labels of the
-        # wrong size, pairs it does not have, or a pair count other than m
+    def test_swapped_column_labels_name_the_first_moved_label(self, n):
+        # two column tuples trade places: decompose names the first of the
+        # two, whatever the class-by-class run makes of the labels
         b = bmatrix(n)
         rng = random.Random(n)
-        kinds = set()
         for _ in range(60):
-            j, k = rng.sample(range(b.cols), 2)
+            j, k = sorted(rng.sample(range(b.cols), 2))
             cols = list(b.col_tuples)
             cols[j], cols[k] = cols[k], cols[j]
             bad = corrupted(b, col_tuples=cols)
-            got = outcome(decompose, bad)
-            assert got == outcome(literal_decompose, bad), (j, k, got)
-            kinds.add(got[1].split()[0] if isinstance(got[1], str) else "ok")
-        assert len(kinds) >= 3, kinds
+            assert outcome(decompose, bad) == (
+                DecompositionError, f"column {j} is labelled {cols[j]}, expected {cols[k]} in the canonical order"
+            )
+            assert witness(bad) == "label"
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_missing_row_fails_as_the_oracle_does(self, n):
@@ -546,12 +685,13 @@ class TestArrayDecomposition:
         for i in range(0, b.rows, 3):
             bad = PlueckerMatrix(n, b.row_tuples[:i] + b.row_tuples[i + 1 :], list(b.col_tuples),
                                  b.row_supports[:i] + b.row_supports[i + 1 :])
-            assert outcome(decompose, bad) == outcome(literal_decompose, bad), i
+            assert same_verdict(bad) in ("label", "count"), i
 
     def test_extra_column_in_a_class(self):
         # a zero column of B(4) takes the tuple (1, 2, 7, 8), and the row
         # (1, 8) moves its one there: every row still fits L(4), but the
-        # class of free part () has 7 columns
+        # class of free part () has 7 columns, and the zero column's label
+        # is out of place
         b = bmatrix(4)
         j, z = b.col_tuples.index((1, 2, 7, 8)), b.col_tuples.index(next(iter(decompose(b).zero_columns)))
         cols = list(b.col_tuples)
@@ -560,17 +700,19 @@ class TestArrayDecomposition:
         supports = list(b.row_supports)
         supports[i] = tuple(sorted(z if c == j else c for c in supports[i]))
         bad = corrupted(b, supports=supports, col_tuples=cols)
-        got = outcome(decompose, bad)
-        assert got == outcome(literal_decompose, bad)
-        assert got[0] is BlockEquivalenceError and got[1].startswith("shape mismatch: block (4, 7)")
+        assert outcome(decompose, bad) == (
+            DecompositionError, f"column {z} is labelled (1, 2, 7, 8), expected {b.col_tuples[z]} in the canonical order"
+        )
+        assert same_verdict(bad) == "label"
 
     def test_two_columns_with_one_label_in_a_class(self):
         # In B(6) the classes with free parts F = (5, 6) and G = (5, 7) both
         # sit on the pairs with lows 1..4. F takes G's columns labelled
         # (1, 2) and (3, 4) for its own (1, 3) and (2, 4), G the reverse,
         # and their rows are rewired so that each still has r = 3 ones, all
-        # at columns whose labels contain its own. Only the check that no
-        # two columns of a class share a label can tell.
+        # at columns whose labels contain its own. Class by class, only the
+        # check that no two columns of a class share a label can tell; on
+        # the canonical labels, the first such one lies outside its class.
         b = bmatrix(6)
         col = {t: j for j, t in enumerate(b.col_tuples)}
         row = {t: i for i, t in enumerate(b.row_tuples)}
@@ -590,9 +732,11 @@ class TestArrayDecomposition:
             for low, cols in rows.items():
                 supports[row[tup(free, (low,))]] = tuple(sorted(col[tup(owner, (a, c))] for owner, a, c in cols))
         bad = corrupted(b, supports=supports)
-        got = outcome(decompose, bad)
-        assert got == outcome(literal_decompose, bad)
-        assert got == (BlockEquivalenceError, "two block columns carry the same label")
+        assert outcome(literal_decompose, bad) == (BlockEquivalenceError, "two block columns carry the same label")
+        assert outcome(decompose, bad) == (
+            DecompositionError, f"the one at row {tup(F, (1,))}, column {tup(G, (1, 2))} lies outside its class"
+        )
+        assert same_verdict(bad) == "one"
 
     def test_census_and_rank_build_no_blocks(self):
         dec = decompose(bmatrix(7))
@@ -611,42 +755,33 @@ class TestCanonicalOrder:
         monkeypatch.setattr(lgplucker.frlc, "BUILD_CAP", 8)
         dec = decompose(build_plucker_matrix(n))
         assert len(dec.blocks) == len(row_partition(n))
-        refs = {m: incidence_matrix(m) for m in dec.counts}
         for blk in dec.blocks:
-            identity = (tuple(range(refs[blk.m].rows)), tuple(range(refs[blk.m].cols)))
-            assert verify_block_equiv(blk.matrix, refs[blk.m]) == identity == (blk.row_perm, blk.col_perm)
+            ref = incidence_matrix(blk.m)
+            assert verify_block_equiv(blk.matrix, ref) == identity(ref)
+            assert blk.matrix == IncidenceMatrix(blk.m, ref, blk.matrix.row_labels, blk.matrix.col_labels)
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_shuffled_labels_pass_class_by_class(self, n, monkeypatch):
-        # rows and columns shuffled together with their labels: not the
-        # canonical order, so the class-by-class pass accepts B, with
-        # permutations other than the identity, and finds the same blocks
+    def test_shuffled_labels_name_the_first_label_out_of_place(self, n):
+        # rows and columns shuffled together with their labels: B is the
+        # same matrix, which the class-by-class run accepts, but not in the
+        # canonical order, so decompose names the first row out of place;
+        # with the rows in place, the first column out of place
         b = bmatrix(n)
         rng = random.Random(n)
         rows, cols = rng.sample(range(b.rows), b.rows), rng.sample(range(b.cols), b.cols)
         place = {j: k for k, j in enumerate(cols)}
-        shuffled = PlueckerMatrix(
-            n, [b.row_tuples[i] for i in rows], [b.col_tuples[j] for j in cols],
-            [sorted(place[j] for j in b.row_supports[i]) for i in rows],
-        )
-        passes = []
-        class_blocks = lgplucker.blocks._class_blocks
-        monkeypatch.setattr(lgplucker.blocks, "_class_blocks", lambda *args: passes.append(1) or class_blocks(*args))
-        dec, canon = decompose(shuffled), decompose(b)
-        assert passes == [1]
-        assert dec.census() == canon.census() and dec.counts == canon.counts
-        assert sorted(dec.zero_columns) == list(canon.zero_columns)
-        canon_blocks = {blk.free: blk for blk in canon.blocks}
-        assert sorted(blk.free for blk in dec.blocks) == sorted(canon_blocks)
-        moved = 0
-        for blk in dec.blocks:
-            same = canon_blocks[blk.free]
-            # the block is its canonical twin, L(m), under its permutations
-            literal_block_equiv(blk.matrix, same.matrix, blk.row_perm, blk.col_perm)
-            assert [blk.row_tuples[i] for i in np.argsort(blk.row_perm)] == list(same.row_tuples)
-            assert [blk.col_tuples[j] for j in np.argsort(blk.col_perm)] == list(same.col_tuples)
-            moved += blk.row_perm != same.row_perm or blk.col_perm != same.col_perm
-        assert moved > 0
+        for kind, order, moved, canonical in (("row", rows, rows, b.row_tuples), ("column", range(b.rows), cols, b.col_tuples)):
+            shuffled = PlueckerMatrix(
+                n, [b.row_tuples[i] for i in order], [b.col_tuples[j] for j in cols],
+                [sorted(place[j] for j in b.row_supports[i]) for i in order],
+            )
+            literal_decompose(shuffled)
+            k = next(k for k, i in enumerate(moved) if k != i)
+            assert outcome(decompose, shuffled) == (
+                DecompositionError,
+                f"{kind} {k} is labelled {canonical[moved[k]]}, expected {canonical[k]} in the canonical order",
+            )
+            assert witness(shuffled) == "label"
 
     def test_one_moved_to_its_place_in_another_class(self):
         # a one of the first L3 block of B(5) moves to the column at the
@@ -661,9 +796,10 @@ class TestCanonicalOrder:
         supports = list(b.row_supports)
         supports[i] = tuple(sorted(new if j == old else j for j in supports[i]))
         bad = corrupted(b, supports=supports)
-        got = outcome(decompose, bad)
-        assert got == outcome(literal_decompose, bad)
-        assert issubclass(got[0], DecompositionError)
+        assert outcome(decompose, bad) == (
+            DecompositionError, f"the one at row {first.row_tuples[0]}, column {second.col_tuples[x]} lies outside its class"
+        )
+        assert same_verdict(bad) == "one"
 
     def test_one_moved_inside_its_class(self):
         # row (1, 8) of B(4) trades its one at (1, 4, 5, 8) for one at
@@ -679,6 +815,7 @@ class TestCanonicalOrder:
         got = outcome(decompose, bad)
         assert got == outcome(literal_decompose, bad)
         assert got[0] is BlockEquivalenceError and got[1].startswith("bit mismatch at block row (1,)")
+        assert same_verdict(bad) == "bit"
 
     def test_blocks_check_nothing_again(self, monkeypatch):
         # decompose groups B's labels once; .blocks only slices that order
@@ -691,7 +828,7 @@ class TestCanonicalOrder:
         def checked_again(*args):
             raise AssertionError("a check ran again")
 
-        for name in ("_direct_sum", "_class_blocks", "verify_block_equiv", "incidence_matrix", "check_regularity"):
+        for name in ("_direct_sum", "_check_labels", "_block_mismatch", "incidence_matrix", "check_regularity"):
             monkeypatch.setattr(lgplucker.blocks, name, checked_again)
         assert len(dec.blocks) == 966
         assert dec.census() == {"L4": 14, "L3": 280, "L2": 672}
@@ -731,25 +868,20 @@ class TestPerProcessTables:
         assert t.col_cls.tolist() == [classes.get(split_free_pairs(x, n).free, len(classes)) for x in b.col_tuples]
         assert t.m == [n - len(free) for free in classes]
 
-    def test_warm_tables_still_check_each_b(self, monkeypatch):
+    def test_warm_tables_still_check_each_b(self):
         # after a good decompose(B(5)) the tables are warm; a B(5) whose
         # row (1, 2, 9), in an L(4) block, drops its first 1 still fails the
-        # array checks, falls back to the class-by-class pass and raises
-        # its witness
+        # array checks, which name the entry the class-by-class run names
         b = bmatrix(5)
         decompose(b)
         supports = list(b.row_supports)
         i = b.row_tuples.index((1, 2, 9))
         supports[i] = supports[i][1:]
         bad = corrupted(b, supports=supports)
-        passes = []
-        class_blocks = lgplucker.blocks._class_blocks
-        monkeypatch.setattr(lgplucker.blocks, "_class_blocks", lambda *args: passes.append(1) or class_blocks(*args))
         got = outcome(decompose, bad)
-        assert passes == [1]
         assert got == outcome(literal_decompose, bad)
         assert got == (BlockEquivalenceError, "bit mismatch at block row (2,), column (2, 3)")
-        assert outcome(decompose, b) == outcome(literal_decompose, b) and passes == [1]
+        assert outcome(decompose, b) == outcome(literal_decompose, b)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -411,6 +415,59 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert captured.err.startswith(f"cannot write {out}: ")
         assert "Traceback" not in captured.err
+
+
+class GonePipe:
+    """A stdout whose reader has gone away: the first write, or the
+    flush of what was written, raises BrokenPipeError, as a pipe closed
+    by `head -c 10` does."""
+
+    def __init__(self, fd, fail_on):
+        self.fd, self.fail_on = fd, fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    # build prints its summary to stderr once its text is written; nothing
+    # else reaches stderr
+    @pytest.mark.parametrize("fail_on", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [(["count", "--n", "200", "--q", "2"], ""), (["build", "--n", "3"], "B(n=3): 6 x 20, nnz 12\n")],
+        ids=["count", "build"],
+    )
+    def test_exit_1_with_stdout_at_devnull(self, argv, summary, fail_on, tmp_path, capsys, monkeypatch):
+        with open(tmp_path / "stdout", "wb") as f:
+            monkeypatch.setattr(sys, "stdout", GonePipe(f.fileno(), fail_on))
+            assert main(argv) == 1
+            assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == (summary if fail_on == "flush" else "")
+
+    def test_closed_pipe_in_a_fresh_interpreter(self):
+        # the pipe's read end is closed before the command starts, so its
+        # first write to stdout fails every time
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lgplucker.cli", "count", "--n", "200", "--q", "2"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestUsage:

@@ -9,12 +9,33 @@ from lgplucker import (
     Pair,
     index_tuples,
     pair_of,
-    row_partition,
     sorting_sign,
     split_free_pairs,
     tuple_rank,
-    tuple_unrank,
 )
+from conftest import row_partition
+
+
+def tuple_unrank(r, length, bound):
+    """Inverse of tuple_rank, one position at a time: the index tuple at
+    lexicographic position r, the oracle of the round trips below."""
+    if length < 0 or length > bound:
+        raise ValueError(f"length {length} out of range for bound {bound}")
+    total = comb(bound, length)
+    if not 0 <= r < total:
+        raise ValueError(f"rank {r} out of range [0, {total})")
+    out = []
+    c = 1
+    for pos in range(length):
+        while True:
+            block = comb(bound - c, length - pos - 1)
+            if r < block:
+                break
+            r -= block
+            c += 1
+        out.append(c)
+        c += 1
+    return tuple(out)
 
 
 class TestIndexTuples:

@@ -8,11 +8,11 @@ from lgplucker import (
     ExteriorVector,
     GF,
     QQ,
+    LinearFunctional,
     ResourceCapError,
     arranged_coordinates,
     build_plucker_matrix,
     contract,
-    contraction_functional,
     coordinate_vector,
     functional_matrix,
     index_tuples,
@@ -22,12 +22,33 @@ from lgplucker import (
     random_lagrangian,
     rank,
     row_space_equal,
-    row_weight_law,
     split_free_pairs,
     vanishing_space,
     wedge,
 )
+from lgplucker.combinatorics import validate_index_tuple
 from conftest import bmatrix, enumerated_points
+
+
+def contraction_functional(gamma, n, field=QQ):
+    """The relation attached to gamma, one pair at a time: coefficient 1 at
+    gamma union each disjoint complementary pair; the oracle of B's rows."""
+    gamma = tuple(gamma)
+    validate_index_tuple(gamma, 2 * n, length=n - 2)
+    support = set(gamma)
+    coeffs = {}
+    for i in range(1, n + 1):
+        ibar = 2 * n + 1 - i
+        if i in support or ibar in support:
+            continue
+        coeffs[tuple(sorted(gamma + (i, ibar)))] = field.one
+    return LinearFunctional(n, field, coeffs)
+
+
+def row_weight_law(gamma, n):
+    """Predicted weight of row gamma: n minus its pair count minus its free count."""
+    split = split_free_pairs(gamma, n)
+    return n - len(split.pairs) - len(split.free)
 
 
 class TestContractionFunctional:

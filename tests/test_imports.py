@@ -85,3 +85,14 @@ def test_guard_finds_an_orphaned_helper():
 def test_every_definition_is_named_elsewhere(module):
     words = Counter(WORD.findall("\n".join(p.read_text(encoding="utf-8") for p in CORPUS)))
     assert unnamed_definitions((PACKAGE / module).read_text(encoding="utf-8"), words) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name dropped from a module must leave __all__ too, and a name
+    # imported into the package must be listed there
+    import lgplucker
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted(lgplucker.__all__) == sorted(imported)
+    assert len(lgplucker.__all__) == len(set(lgplucker.__all__))

@@ -18,7 +18,6 @@ from lgplucker import (
     basis_pairing,
     contract,
     contract_vectors,
-    gram_matrix,
     index_tuples,
     is_isotropic,
     lagrangian_count,
@@ -38,6 +37,11 @@ from lgplucker.combinatorics import validate_index_tuple
 from lgplucker import symplectic
 from lgplucker.symplectic import coordinates, failing_plucker_relation, laplace_table, plucker_relation_table
 from conftest import enumerated_bases, enumerated_points
+
+
+def gram_matrix(n):
+    """The 2n x 2n Gram matrix of the basis pairing."""
+    return [[basis_pairing(i, j, n) for j in range(1, 2 * n + 1)] for i in range(1, 2 * n + 1)]
 
 
 def unit(i, n):
