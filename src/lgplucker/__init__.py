@@ -35,7 +35,6 @@ from .frlc import (
     LinearFunctional,
     PlueckerMatrix,
     build_plucker_matrix,
-    functional_matrix,
     vanishing_space,
 )
 from .linalg import (
@@ -104,7 +103,6 @@ __all__ = [
     "coordinate_vector",
     "decompose",
     "embedding_rank",
-    "functional_matrix",
     "incidence_matrix",
     "index_tuples",
     "is_isotropic",

@@ -18,6 +18,8 @@ from functools import lru_cache
 from math import comb
 from typing import Any, List, Optional
 
+import numpy as np
+
 from . import blocks, formats, frlc, linalg, symplectic
 from .errors import EXPORT_CAP, ResourceCapError
 from .fields import GF, QQ
@@ -83,6 +85,7 @@ def _write_output(text: str, out: Optional[str], summary: str) -> None:
     and the summary on stdout."""
     if out is None or out == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # so that no summary follows text that never left
         print(summary, file=sys.stderr)
     else:
         with open(out, "w", encoding="ascii") as fh:
@@ -174,15 +177,13 @@ def _verification_checks(n: int, q: int, seed: int) -> VerificationReport:
     # rank_QQ(B) that contains the rows of B mod q and equals their span
     # exactly when B keeps full rank mod q, i.e. q >= floor((n + 2) / 2).
     t0 = time.perf_counter()
-    vanishing = frlc.vanishing_space(points, field)
-    vanishing_m = frlc.functional_matrix(vanishing, n, field)
-    b_exact = b.to_exact(field)
+    vanishing = frlc.vanishing_rows(points, field)
     rank_qq = blocks.decompose(b).rank(QQ)
     # One greedy pass over the rows of B and then the vanishing rows: the
     # vanishing rows it picks are a basis of the vanishing space modulo B.
-    picked = linalg.independent_rows(b_exact.stacked(vanishing_m))
+    picked = linalg.independent_rows_mod(np.concatenate([b.bits, vanishing]), q)
     rows_inside = len(picked) == len(vanishing)
-    extra = [vanishing[i - b_exact.nrows] for i in picked if i >= b_exact.nrows]
+    extra = frlc.row_functionals([vanishing[i - b.rows].tolist() for i in picked if i >= b.rows], n, field)
     span_expected = q >= (n + 2) // 2
     span_ok = rows_inside and not extra
     timings["vanishing_s"] = time.perf_counter() - t0

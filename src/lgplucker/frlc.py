@@ -134,15 +134,16 @@ def build_plucker_matrix(n: int) -> PlueckerMatrix:
     return PlueckerMatrix(n, rows.tuples, coordinates(n, n).tuples, csr=(indptr, ranks[disjoint]))
 
 
-def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[LinearFunctional]:
-    """Basis of all functionals vanishing on the span of the given points.
+def vanishing_rows(points: Sequence[ExteriorVector], field: Field):
+    """Basis of all functionals vanishing on the span of the given points,
+    as coefficient rows in the column order of ``coordinates(n, n)``.
 
     Rows of the point matrix are pair-adjacent coordinate vectors, so the
     nullspace vectors are functional coefficient vectors in the same
     system, directly comparable with the 0/1 relation rows. The points'
     ``values`` are stacked and twisted in one step; over GF(p) the int64
-    matrix goes to ``linalg.nullspace_mod``, over QQ the Fraction rows go
-    to ``linalg.nullspace``.
+    matrix goes to ``linalg.nullspace_mod``, whose int64 basis is returned,
+    over QQ the Fraction rows go to ``linalg.nullspace``, whose lists are.
     """
     points = list(points)
     if not points:
@@ -151,28 +152,25 @@ def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[Line
     for w in points:
         if w.n != n or w.grade != n or w.field != field:
             raise ValueError("points must share one grade-n space and field")
-    table = coordinates(n, n)
     a = np.stack([w.values for w in points])  # the one copy: twisted, and over GF(p) reduced, in place
-    a *= table.signs
+    a *= coordinates(n, n).signs
     p = field.char
     if p:
         a %= p
-        basis = linalg.nullspace_mod(a, p).tolist()
-    else:
-        basis = linalg.nullspace(linalg.ExactMatrix.from_rows(a, field))
-    out = []
-    for vec in basis:
-        coeffs = {table.tuples[j]: v for j, v in enumerate(vec) if v}
-        out.append(LinearFunctional(n, field, coeffs))
-    return out
+        return linalg.nullspace_mod(a, p)
+    return linalg.nullspace(linalg.ExactMatrix.from_rows(a, field))
 
 
-def functional_matrix(functionals: Sequence[LinearFunctional], n: int, field: Field) -> linalg.ExactMatrix:
-    """Stack functional coefficient vectors as rows of an exact matrix."""
-    cols = coordinates(n, n).position
-    rows = []
-    for h in functionals:
-        if h.n != n or h.field != field:
-            raise ValueError("functionals must share the given space and field")
-        rows.append({cols[t]: v for t, v in h.coeffs.items()})
-    return linalg.ExactMatrix(len(rows), comb(2 * n, n), field, rows)
+def row_functionals(rows: Sequence[Sequence[Scalar]], n: int, field: Field) -> List[LinearFunctional]:
+    """The functionals whose coefficients are the given rows, each in the
+    column order of ``coordinates(n, n)``."""
+    tuples = coordinates(n, n).tuples
+    return [LinearFunctional(n, field, {tuples[j]: v for j, v in enumerate(row) if v}) for row in rows]
+
+
+def vanishing_space(points: Sequence[ExteriorVector], field: Field) -> List[LinearFunctional]:
+    """Basis of all functionals vanishing on the span of the given points:
+    the rows of :func:`vanishing_rows` as functionals."""
+    points = list(points)
+    basis = vanishing_rows(points, field)
+    return row_functionals(basis.tolist() if field.char else basis, points[0].n, field)

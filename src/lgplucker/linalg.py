@@ -3,13 +3,15 @@
 Two representations, one exact elimination kernel each, no tolerances:
 
 * rows of Python ints go through ``int_echelon``, sparse Gauss-Jordan
-  elimination mod p or fraction-free over the integers. ``rank``,
-  ``independent_rows`` and ``nullspace`` convert an ``ExactMatrix`` once
-  for it (each row times the lcm of its denominators) over every field;
+  elimination mod p or fraction-free over the integers. ``rank`` and
+  ``nullspace`` convert an ``ExactMatrix`` once for it (each row times
+  the lcm of its denominators) over every field;
 * int64 residue arrays, as the vanishing space of many points over GF(p)
   makes, go through dense numpy row reduction: the nullspace of a tall
   array folds its rows into the reduced row space a block at a time,
-  and every product mod p goes through the overflow-safe ``_matmul_mod``.
+  ``independent_rows_mod`` reads the greedy row picks off the reduced
+  transpose, and every product mod p goes through the overflow-safe
+  ``_matmul_mod``.
 
 The rank of the relation matrix itself (``rank_report``,
 ``embedding_rank``) comes from its verified block decomposition, so
@@ -63,35 +65,6 @@ class ExactMatrix:
             rows.append({c: v for c, v in enumerate(raw) if v})
         return cls(len(rows), width or 0, field, rows)
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int, field: Field) -> "ExactMatrix":
-        return cls(nrows, ncols, field, [{} for _ in range(nrows)])
-
-    def transpose(self) -> "ExactMatrix":
-        rows: List[Dict[int, Scalar]] = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for c, v in r.items():
-                rows[c][i] = v
-        return ExactMatrix(self.ncols, self.nrows, self.field, rows)
-
-    def stacked(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.ncols != self.ncols or other.field != self.field:
-            raise ValueError("stack requires matching column count and field")
-        rows = [dict(r) for r in self.rows + other.rows]
-        return ExactMatrix(self.nrows + other.nrows, self.ncols, self.field, rows)
-
-    def mat_vec(self, x: Sequence[Scalar]) -> List[Scalar]:
-        if len(x) != self.ncols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        out = []
-        for r in self.rows:
-            s = f.zero
-            for c, v in r.items():
-                s = f.add(s, f.mul(v, x[c]))
-            out.append(s)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
@@ -130,11 +103,12 @@ class BinaryMatrix:
     as row supports (column sequences) or as ``csr=(indptr, indices)``.
 
     The relation matrix B(n), its blocks, the atlas members L(m) and the
-    parsed file formats are all of this kind. The views ``row_supports``
-    (tuples) and ``bits`` (dense) are built on each access.
+    parsed file formats are all of this kind. The tuple view
+    ``row_supports`` is built on its first read, the dense ``bits`` on
+    each.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "row_labels", "col_labels")
+    __slots__ = ("rows", "cols", "indptr", "indices", "row_labels", "col_labels", "_supports")
 
     def __init__(self, rows: int, cols: int, row_supports=None, row_labels=None, col_labels=None, *, csr=None):
         if rows < 0 or cols < 0:
@@ -166,6 +140,7 @@ class BinaryMatrix:
         # read-only views, so that the checked arrays stay as they were checked
         self.rows, self.cols = rows, cols
         self.indptr, self.indices = _read_only(indptr), _read_only(indices)
+        self._supports = None
 
     @classmethod
     def _checked(cls, rows: int, cols: int, indptr: np.ndarray, indices: np.ndarray, row_labels=None, col_labels=None):
@@ -209,14 +184,12 @@ class BinaryMatrix:
 
     @property
     def row_supports(self) -> Tuple[Tuple[int, ...], ...]:
-        """The strictly increasing columns of the ones in each row."""
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @property
-    def entries(self) -> Tuple[Tuple[int, int], ...]:
-        """The 0-based (row, column) positions of the ones, in row-major order."""
-        return tuple(zip(self.row_ids().tolist(), self.indices.tolist()))
+        """The strictly increasing columns of the ones in each row, built
+        on the first read; the arrays are read-only, so it stays current."""
+        if self._supports is None:
+            flat, bounds = self.indices.tolist(), self.indptr.tolist()
+            self._supports = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._supports
 
     @property
     def bits(self) -> np.ndarray:
@@ -224,30 +197,12 @@ class BinaryMatrix:
         a[self.row_ids(), self.indices] = 1
         return a
 
-    def entry(self, i: int, j: int) -> int:
-        return int(j in self.indices[self.indptr[i] : self.indptr[i + 1]].tolist())
-
-    def row_weight(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def row_weights(self) -> List[int]:
-        return np.diff(self.indptr).tolist()
-
     def csc(self) -> Tuple[np.ndarray, np.ndarray]:
         """The CSR arrays of the transpose: for each column, the increasing
         rows of its ones."""
         colptr = np.zeros(self.cols + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=self.cols), out=colptr[1:])
         return colptr, self.row_ids()[np.argsort(self.indices, kind="stable")]
-
-    def col_lists(self) -> List[List[int]]:
-        """The increasing rows of the ones in each column."""
-        colptr, rows = self.csc()
-        flat, bounds = rows.tolist(), colptr.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def column_weights(self) -> List[int]:
-        return np.bincount(self.indices, minlength=self.cols).tolist()
 
     def to_exact(self, field: Field) -> ExactMatrix:
         flat, bounds, one = self.indices.tolist(), self.indptr.tolist(), field.one
@@ -398,13 +353,11 @@ def rank(m: ExactMatrix) -> int:
     return len(int_echelon(_int_rows(m), m.field.char)[1])
 
 
-def independent_rows(m: ExactMatrix) -> List[int]:
-    """Indices of the rows of m outside the span of the rows before them.
-
-    They are the pivot columns of the reduced row echelon form of the
-    transpose, and the rows they pick form a basis of the row space.
-    """
-    return int_echelon(_int_rows(m.transpose()), m.field.char)[1]
+def independent_rows_mod(a: np.ndarray, p: int) -> List[int]:
+    """Indices of the rows of the residue array a outside the span of the
+    rows before them over GF(p): the pivot columns of the reduced
+    transpose. The rows they pick form a basis of the row space."""
+    return _rref_mod(a.T.copy(), p)[1]
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -531,7 +484,7 @@ def row_space_equal(a: ExactMatrix, b: ExactMatrix) -> bool:
     if a.ncols != b.ncols or a.field != b.field:
         raise ValueError("row spaces live in different ambient spaces")
     r = rank(a)
-    return rank(b) == r and rank(a.stacked(b)) == r
+    return rank(b) == r and rank(ExactMatrix(a.nrows + b.nrows, a.ncols, a.field, a.rows + b.rows)) == r
 
 
 @dataclass(frozen=True)

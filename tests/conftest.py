@@ -3,7 +3,8 @@
 from functools import lru_cache
 from math import comb
 
-from lgplucker import GF, build_plucker_matrix, index_tuples, lagrangian_subspaces, plucker_vector, split_free_pairs
+from lgplucker import GF, ExactMatrix, build_plucker_matrix, index_tuples, lagrangian_subspaces, plucker_vector, split_free_pairs
+from lgplucker.linalg import _int_rows, int_echelon
 
 
 @lru_cache(maxsize=None)
@@ -46,3 +47,15 @@ def row_partition(n):
     for t in index_tuples(n - 2, 2 * n):
         classes.setdefault(split_free_pairs(t, n).free, []).append(t)
     return classes
+
+
+def independent_rows(m):
+    """Indices of the rows of the ExactMatrix m outside the span of the
+    rows before them: the pivot columns of ``int_echelon`` on the integer
+    rows of the transpose, over any field. The oracle of
+    ``linalg.independent_rows_mod``."""
+    cols = [{} for _ in range(m.ncols)]
+    for i, r in enumerate(m.rows):
+        for c, v in r.items():
+            cols[c][i] = v
+    return int_echelon(_int_rows(ExactMatrix(m.ncols, m.nrows, m.field, cols)), m.field.char)[1]

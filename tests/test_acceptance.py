@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 from lgplucker import (
+    ExactMatrix,
     ExteriorVector,
     GF,
     QQ,
@@ -23,8 +24,8 @@ from lgplucker import (
     contract_vectors,
     coordinate_vector,
     decompose,
-    functional_matrix,
     incidence_matrix,
+    index_tuples,
     lagrangian_count,
     r_value,
     rank,
@@ -126,8 +127,9 @@ def test_c05_minimality():
         field = GF(q)
         basis = vanishing_space(enumerated_points(n, q), field)
         assert len(basis) == dim, (n, q, len(basis))
-        b_exact = bmatrix(n).to_exact(field)
-        assert row_space_equal(functional_matrix(basis, n, field), b_exact), (n, q)
+        cols = index_tuples(n, 2 * n)
+        m = ExactMatrix.from_rows([[h.coeffs.get(t, 0) for t in cols] for h in basis], field)
+        assert row_space_equal(m, bmatrix(n).to_exact(field)), (n, q)
     _report("C05", "vanishing-space dimensions 1, 1, 6, 6 and row spaces equal to the relation rows")
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgplucker import atlas, incidence_matrix
+from lgplucker import atlas, build_plucker_matrix, incidence_matrix
 from lgplucker.errors import PARSE_CAP
 from lgplucker.formats import (
     BinaryMatrix,
@@ -182,7 +182,7 @@ class TestAlist:
     def test_padding_before_an_index_names_its_line(self):
         # ones at (1, 1), (1, 2), (2, 1); column 2 is written "0 1", not "1 0"
         text = "2 2\n2 2\n2 1\n2 1\n1 2\n0 1\n1 2\n1 0\n"
-        assert parse_alist(text.replace("0 1\n", "1 0\n", 1)).entries == ((0, 0), (0, 1), (1, 0))
+        assert parse_alist(text.replace("0 1\n", "1 0\n", 1)).bits.tolist() == [[1, 1], [1, 0]]
         with pytest.raises(ValueError, match="line 6: padding 0 before a nonzero row index"):
             parse_alist(text)
 
@@ -266,6 +266,24 @@ class TestCarrier:
         s = tuple(supports[row])
         with pytest.raises(ValueError, match=re.escape(f"row {row}: columns {s} do not strictly increase inside [0, 3)")):
             BinaryMatrix(len(supports), 3, supports)
+
+    @pytest.mark.parametrize("route", ["supports", "csr", "checked", "relation"])
+    def test_row_supports_built_once(self, route):
+        # the tuple view is built on its first read and kept: a second read
+        # returns the same object, equal to the view of the arrays, which
+        # are read-only and so cannot leave it stale
+        b = build_plucker_matrix(4)
+        mat = {
+            "supports": lambda: BinaryMatrix(b.rows, b.cols, [b.indices[x:y].tolist() for x, y in zip(b.indptr, b.indptr[1:])]),
+            "csr": lambda: BinaryMatrix(b.rows, b.cols, csr=(b.indptr, b.indices)),
+            "checked": lambda: matrix_data(b),
+            "relation": lambda: b,
+        }[route]()
+        first = mat.row_supports
+        assert mat.row_supports is first
+        assert first == tuple(tuple(mat.indices[x:y].tolist()) for x, y in zip(mat.indptr, mat.indptr[1:]))
+        with pytest.raises(ValueError, match="read-only"):
+            mat.indices[0] = 1
 
     def test_adapts_incidence_and_relation_matrices(self):
         mat = atlas(4)[0]
@@ -361,7 +379,7 @@ def literal_parse_alist(text):
     col_lists = literal_adjacency_lines(lines, 4, col_w, max_col_w, rows, "column", "row")
     row_lists = literal_adjacency_lines(lines, 4 + cols, row_w, max_row_w, cols, "row", "column")
     data = BinaryMatrix(rows, cols, row_lists)
-    if data.col_lists() != col_lists:
+    if not np.array_equal(BinaryMatrix(cols, rows, col_lists).bits.T, data.bits):
         raise ValueError("row and column adjacency lists disagree")
     return data
 
