@@ -96,6 +96,14 @@ def incidence_matrix(m: int) -> IncidenceMatrix:
     return IncidenceMatrix(m, linalg.BinaryMatrix(len(rows), len(cols), csr=(indptr, ranks[outside[:, 1:]])), rows, cols)
 
 
+def _atlas_rank(m: int, p: int) -> int:
+    """The rank of L(m) over QQ (p = 0) or GF(p), k = m/2: over ZZ, L(m)
+    has a diagonal form (Wilson) with each entry k - i, i = 0..k-1,
+    C(m, i) - C(m, i - 1) times, and an entry counts unless p divides it."""
+    k = m // 2
+    return sum(comb(m, i) - (comb(m, i - 1) if i else 0) for i in range(k) if p == 0 or (k - i) % p)
+
+
 def atlas(n: int) -> List[IncidenceMatrix]:
     """The family of block references for half-dimension n.
 
@@ -177,17 +185,16 @@ class Block:
 class BlockDecomposition:
     """Partition of the relation matrix into atlas blocks plus zero columns.
 
-    ``references`` maps each m that occurs to the atlas member L(m) its
-    blocks were checked against, and ``counts`` maps it to the number of
-    those blocks. ``blocks`` lists them in first-seen order of their free
-    parts; every block is L(m) as it stands, and the list is sliced, when
-    first read, from the class order ``decompose`` computed; nothing is
-    checked again. The census and the rank need only the counts.
+    ``counts`` maps each m that occurs to the number of blocks checked
+    against its atlas member L(m). ``blocks`` lists them in first-seen
+    order of their free parts; every block is L(m) as it stands, and the
+    list is sliced, when first read, from the class order ``decompose``
+    computed; nothing is checked again. The census and the rank need
+    only the counts.
     """
 
     n: int
     zero_columns: Tuple[IndexTuple, ...]
-    references: Dict[int, IncidenceMatrix]
     counts: Dict[int, int]
     _blocks: Callable[[], List[Block]] = dataclass_field(repr=False, compare=False)
 
@@ -205,9 +212,9 @@ class BlockDecomposition:
         The matrix is the direct sum of its blocks and zero columns, and
         each block is its atlas member L(m) as it stands, so its rank is
         the sum over m of the number of blocks with that m times
-        rank(L(m)). Only the distinct atlas members are eliminated.
+        rank(L(m)), which ``_atlas_rank`` gives in closed form.
         """
-        return sum(c * linalg.rank(self.references[m].to_exact(field)) for m, c in self.counts.items())
+        return sum(c * _atlas_rank(m, field.char) for m, c in self.counts.items())
 
 
 class _ClassTable(NamedTuple):
@@ -373,7 +380,9 @@ def decompose(b: PlueckerMatrix) -> BlockDecomposition:
     row-major order, outside its class, or, as BlockEquivalenceError, the
     first differing entry of the first block of that m other than L(m).
     """
+    if not isinstance(b, PlueckerMatrix):
+        raise TypeError(f"decompose needs a PlueckerMatrix, got {type(b).__name__}")
     c = _direct_sum(b)
     references = {m: incidence_matrix(m) for m in c.counts}
     zero_cols = tuple(b.col_tuples[j] for j in c.cols[c.col_start[-2] :].tolist())
-    return BlockDecomposition(b.n, zero_cols, references, dict(c.counts), partial(_sliced_blocks, b, c, references))
+    return BlockDecomposition(b.n, zero_cols, dict(c.counts), partial(_sliced_blocks, b, c, references))

@@ -115,7 +115,7 @@ def cmd_decompose(args) -> int:
     # checked once for all its blocks
     bad = 0
     for m in sorted(dec.counts, reverse=True):
-        report = blocks.check_regularity(dec.references[m])
+        report = blocks.check_regularity(blocks.incidence_matrix(m))
         bad += not report.ok
         for failure in report.failures:
             print(f"FAIL L{blocks.r_value(m)} ({dec.counts[m]} blocks): {failure}")

@@ -25,16 +25,14 @@ from . import linalg
 from .combinatorics import IndexTuple, binomials, validate_index_tuple
 from .errors import BUILD_CAP, ResourceCapError
 from .fields import Field, Scalar
-from .symplectic import ExteriorVector, arranged_coordinates, coordinates
+from .symplectic import ExteriorVector, coordinates
 
 
 @dataclass
 class LinearFunctional:
     """Sparse linear functional on grade-n tensors.
 
-    Coefficients are taken against the pair-adjacent coordinate system;
-    evaluation folds in the sign twist so callers can feed ordinary
-    exterior vectors.
+    Coefficients are taken against the pair-adjacent coordinate system.
     """
 
     n: int
@@ -50,16 +48,6 @@ class LinearFunctional:
             if val:
                 clean[key] = val
         self.coeffs = clean
-
-    def evaluate(self, w: ExteriorVector) -> Scalar:
-        if w.n != self.n or w.grade != self.n or w.field != self.field:
-            raise ValueError("functional and vector live in different spaces")
-        x = arranged_coordinates(w)
-        position = coordinates(self.n, self.n).position
-        total = sum((c * x[position[key]] for key, c in self.coeffs.items()), self.field.zero)
-        return self.field.coerce(total)
-
-    __call__ = evaluate
 
 
 class PlueckerMatrix(linalg.BinaryMatrix):

@@ -14,10 +14,9 @@ Two representations, one exact elimination kernel each, no tolerances:
   ``_matmul_mod``.
 
 The rank of the relation matrix itself (``rank_report``,
-``embedding_rank``) comes from its verified block decomposition, so
-elimination there only ever sees the atlas members (15 x 20 at most for
-n <= 7); the full matrix is eliminated only where its rows are needed,
-or as a test oracle.
+``embedding_rank``) is its verified block census times the closed-form
+rank of each atlas member, with no elimination; the full matrix is
+eliminated only where its rows are needed, or as a test oracle.
 """
 
 from __future__ import annotations
@@ -511,11 +510,10 @@ def _relation_rank(n: int, field: Field) -> int:
     """Rank of the relation matrix B(n) over field, from its block structure.
 
     B(n) is built and decomposed on every call, every block checked
-    against its atlas member, and the rank summed block by block (see
-    ``BlockDecomposition.rank``): only the atlas members are eliminated,
-    never B itself. The atlas members and the free-part classes of B's
-    labels are built once per process (see ``blocks.decompose``); the
-    elimination of each member runs on every call.
+    against its atlas member, and the rank summed block by block from
+    Wilson's closed form (see ``BlockDecomposition.rank``): nothing is
+    eliminated. The atlas members and the free-part classes of B's
+    labels are built once per process (see ``blocks.decompose``).
     """
     from .blocks import decompose
     from .frlc import build_plucker_matrix

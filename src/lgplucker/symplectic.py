@@ -453,8 +453,10 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
     constraints) and the independence test come from
     ``linalg.int_echelon`` on integer multiples of the rows: the reduced
     constraints with the new one appended, whose reduced form is carried
-    to the next draw when the row is kept.
+    to the next draw when the row is kept. n is checked before any draw.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = random.Random(seed)
     p = field.char
     width, last = 2 * n, 2 * n - 1
@@ -491,6 +493,8 @@ def random_lagrangian(n: int, field: Field, seed: int) -> SubspaceBasis:
 
 def lagrangian_count(n: int, q: int) -> int:
     """Number of Lagrangian subspaces over GF(q): product of (1 + q^i)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     return prod(1 + q**i for i in range(1, n + 1))
 
 

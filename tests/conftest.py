@@ -1,7 +1,6 @@
 """Shared cached builders so expensive objects are constructed once."""
 
 from functools import lru_cache
-from math import comb
 
 from lgplucker import GF, ExactMatrix, build_plucker_matrix, index_tuples, lagrangian_subspaces, plucker_vector, split_free_pairs
 from lgplucker.linalg import _int_rows, int_echelon
@@ -21,17 +20,6 @@ def enumerated_points(n, q):
 @lru_cache(maxsize=None)
 def enumerated_bases(n, q):
     return tuple(lagrangian_subspaces(n, q))
-
-
-def wilson_rank(m, p):
-    """Wilson's diagonal form: the GF(p) rank (p = 0 for QQ) of the
-    inclusion matrix of (k-1)-subsets against k-subsets of a 2k-set."""
-    k = m // 2
-    return sum(
-        comb(2 * k, i) - (comb(2 * k, i - 1) if i else 0)
-        for i in range(k)
-        if p == 0 or (k - i) % p
-    )
 
 
 def row_partition(n):

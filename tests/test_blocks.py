@@ -27,8 +27,9 @@ from lgplucker import (
 )
 import lgplucker.blocks
 import lgplucker.frlc
+from lgplucker.formats import parse_coord, write_coord
 from lgplucker.linalg import BinaryMatrix
-from conftest import bmatrix, row_partition, wilson_rank
+from conftest import bmatrix, row_partition
 
 
 def literal_incidence_matrix(m):
@@ -324,7 +325,7 @@ class TestBlockCheckOracle:
         # L(m) by the identity
         dec = decompose(bmatrix(n))
         for blk in dec.blocks:
-            ref = dec.references[blk.m]
+            ref = incidence_matrix(blk.m)
             assert verify_block_equiv(blk.matrix, ref) == identity(ref)
             literal_block_equiv(blk.matrix, ref, *identity(ref))
 
@@ -343,7 +344,7 @@ class TestBlockCheckOracle:
         dec = decompose(bmatrix(5))
         flips = 0
         for blk in dec.blocks:
-            ref = dec.references[blk.m]
+            ref = incidence_matrix(blk.m)
             for i, j in np.ndindex(*blk.matrix.shape):
                 bits = blk.matrix.bits
                 bits[i, j] ^= 1
@@ -357,7 +358,7 @@ class TestBlockCheckOracle:
             for i in range(blk.matrix.rows):
                 bits = blk.matrix.bits
                 bits[i] ^= 1
-                self.assert_both_name(blk, dec.references[blk.m], bits, i, 0)
+                self.assert_both_name(blk, incidence_matrix(blk.m), bits, i, 0)
 
 
 EXPECTED_CENSUS = {
@@ -372,6 +373,15 @@ EXPECTED_ZERO_COLS = {2: 4, 3: 8, 4: 16, 5: 32, 6: 64}
 
 
 class TestDecomposition:
+    @pytest.mark.parametrize(
+        "not_b", [lambda: incidence_matrix(4), lambda: parse_coord(write_coord(bmatrix(3)))], ids=["L4", "parsed-B3"]
+    )
+    def test_matrix_that_is_not_b_rejected(self, not_b):
+        # an atlas member and a parsed file are 0/1 matrices without the n of B
+        mat = not_b()
+        with pytest.raises(TypeError, match=f"^decompose needs a PlueckerMatrix, got {type(mat).__name__}$"):
+            decompose(mat)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_census(self, n):
         dec = decompose(bmatrix(n))
@@ -842,7 +852,10 @@ class TestPerProcessTables:
     def test_atlas_member_built_once_and_shared(self):
         assert incidence_matrix(6) is incidence_matrix(6)
         assert atlas(7)[0] is incidence_matrix(6)
-        assert all(decompose(bmatrix(7)).references[m] is incidence_matrix(m) for m in (6, 4, 2))
+        # every block's arrays are those of the shared member
+        blks = decompose(bmatrix(7)).blocks
+        assert {blk.m for blk in blks} == {6, 4, 2}
+        assert all(np.shares_memory(blk.matrix.indices, incidence_matrix(blk.m).indices) for blk in blks)
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_shared_member_is_read_only(self, m):
@@ -885,8 +898,9 @@ class TestPerProcessTables:
         assert outcome(decompose, b) == outcome(literal_decompose, b)
 
 
-@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11, 2147483647])
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
 def test_atlas_rank_matches_wilson(m, p):
+    # elimination of L(m) is the oracle of the closed form
     mat = incidence_matrix(m)
-    assert rank(mat.to_exact(QQ if p == 0 else GF(p))) == wilson_rank(m, p)
+    assert lgplucker.blocks._atlas_rank(m, p) == rank(mat.to_exact(QQ if p == 0 else GF(p)))

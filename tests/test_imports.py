@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses, and none
-defines a function, class or constant that nothing names. The toolchain
-has no linter, so these tests stand in for those two checks."""
+"""No module of the package imports a name it never uses, none defines
+a function, class or constant that nothing names, and no class has a
+public method that nothing reads. The toolchain has no linter, so these
+tests stand in for those checks."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -85,6 +87,71 @@ def test_guard_finds_an_orphaned_helper():
 def test_every_definition_is_named_elsewhere(module):
     words = Counter(WORD.findall("\n".join(p.read_text(encoding="utf-8") for p in CORPUS)))
     assert unnamed_definitions((PACKAGE / module).read_text(encoding="utf-8"), words) == []
+
+
+# Every public method and property of a class of the package must be
+# read as an attribute (".name") somewhere in the package, the tests or
+# the benchmark outside its own definition, unless it overrides a method
+# of a base class, which its callers reach through the base.
+SOURCES = [p for p in CORPUS if p.suffix == ".py"]
+ATTRIBUTE = re.compile(r"\.(\w+)")
+
+
+def methods(source):
+    """The public methods and properties of the classes a module defines
+    at its top level, each as (class, name, text of its definition with
+    decorators), in source order."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    out.append((node.name, item.name, "\n".join(lines[first - 1 : item.end_lineno])))
+    return out
+
+
+def orphaned_methods(source, attributes, overrides):
+    """The methods of source, as "class.name", read as an attribute
+    nowhere but in their own definitions and overriding nothing;
+    attributes counts the attribute names read in every text searched,
+    source included, and overrides(class, name) says whether the method
+    overrides one of a base class."""
+    return [
+        f"{cls}.{name}"
+        for cls, name, span in methods(source)
+        if attributes[name] == ATTRIBUTE.findall(span).count(name) and not overrides(cls, name)
+    ]
+
+
+def test_guard_finds_an_orphaned_method():
+    source = (
+        "class A(Base):\n"
+        "    @property\n"
+        "    def read(self):\n"
+        "        return 1\n\n"
+        "    def orphan(self):\n"
+        "        return self.orphan()\n\n"
+        "    def inherited(self):\n"
+        "        pass\n\n"
+        "    def _private(self):\n"
+        "        pass\n\n\n"
+        "x = A().read\n"
+    )
+    attributes = Counter(ATTRIBUTE.findall(source))
+    assert orphaned_methods(source, attributes, lambda cls, name: name == "inherited") == ["A.orphan"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_method_is_read_elsewhere(module):
+    mod = importlib.import_module("lgplucker" if module == "__init__.py" else f"lgplucker.{module[:-3]}")
+
+    def overrides(cls, name):
+        return any(hasattr(base, name) for base in getattr(mod, cls).__mro__[1:])
+
+    attributes = Counter(ATTRIBUTE.findall("\n".join(p.read_text(encoding="utf-8") for p in SOURCES)))
+    assert orphaned_methods((PACKAGE / module).read_text(encoding="utf-8"), attributes, overrides) == []
 
 
 def test_all_lists_exactly_the_imported_names():

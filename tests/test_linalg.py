@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -21,6 +22,7 @@ from lgplucker import (
     row_space_equal,
 )
 from lgplucker import linalg
+from lgplucker.cli import main
 from lgplucker.linalg import (
     _FOLD_ROWS,
     _matmul_mod,
@@ -238,6 +240,31 @@ class TestStructuralRank:
         assert embedding_rank(n, field) == b.shape[1] - full
         if n == 7:
             assert full == FULL_ELIMINATION_N7[p]
+
+
+class TestRankPathEliminatesNothing:
+    """The rank of B comes from its census and Wilson's closed form:
+    neither the report nor the command eliminates or converts a matrix.
+    TestStructuralRank checks the values against elimination."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        for owner, name in ((linalg, "rank"), (linalg.BinaryMatrix, "to_exact")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_rank_report(self, n, eliminations):
+        for p in (0, 2, 3, 5, 7, 11):
+            rank_report(n, p)
+        assert eliminations == []
+
+    def test_rank_command(self, eliminations, capsys):
+        assert main(["rank", "--n", "7", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == FULL_ELIMINATION_N7[0]
+        assert eliminations == []
 
 
 def test_embedding_rank_values():

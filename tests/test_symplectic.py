@@ -390,6 +390,11 @@ class TestRandomLagrangian:
     def test_deterministic(self):
         assert random_lagrangian(3, GF(5), 7) == random_lagrangian(3, GF(5), 7)
 
+    @pytest.mark.parametrize("n,field", [(-1, GF(2)), (0, QQ)])
+    def test_n_below_one_rejected(self, n, field):
+        with pytest.raises(ValueError, match=f"^need n >= 1, got {n}$"):
+            random_lagrangian(n, field, 1)
+
     def test_non_isotropic_result_raises(self, monkeypatch):
         monkeypatch.setattr(symplectic, "is_isotropic", lambda basis: False)
         with pytest.raises(ArithmeticError, match=r"n=3, seed=5"):
@@ -464,6 +469,11 @@ class TestEnumeration:
     def test_counts(self, n, q, expected):
         assert lagrangian_count(n, q) == expected
         assert sum(1 for _ in lagrangian_subspaces(n, q)) == expected
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_count_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^need n >= 1, got {n}$"):
+            lagrangian_count(n, 2)
 
     def test_lines_all_isotropic(self):
         assert sum(1 for _ in lagrangian_subspaces(1, 2)) == 3
