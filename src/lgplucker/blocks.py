@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, binomials, index_tuples, split_free_pairs, tuple_array
+from .combinatorics import IndexTuple, index_tuples, join_ranks, split_free_pairs, tuple_array
 from .fields import Field
 from .frlc import PlueckerMatrix
 from .symplectic import coordinates
@@ -80,20 +80,12 @@ def incidence_matrix(m: int) -> IncidenceMatrix:
     if m < 2 or m % 2:
         raise ValueError(f"need an even m >= 2, got {m}")
     k = m // 2
-    rows, cols = tuple(index_tuples(k - 1, m)), tuple(index_tuples(k, m))
-    alpha, c, q = tuple_array(rows, k - 1), binomials(m + 1), np.arange(k - 1)
-    ranks = np.empty((len(rows), m), dtype=np.int64)
-    for x in range(1, m + 1):
-        # the lexicographic rank of alpha + {x} (see combinatorics.binomials):
-        # an entry of alpha at position q moves to q + [alpha_q > x], x to #{alpha_q < x}
-        ranks[:, x - 1] = (
-            comb(m, k) - 1 - c[m - alpha, k - q - (alpha > x)].sum(axis=1) - c[m - x, k - (alpha < x).sum(axis=1)]
-        )
-    outside = np.ones((len(rows), m + 1), dtype=bool)
-    outside[np.arange(len(rows))[:, None], alpha] = False
+    rows, cols = index_tuples(k - 1, m), coordinates(k, k)  # the k-tuples over [1, m]
+    short = (1 << (m - tuple_array(rows, k - 1))).sum(axis=1)
     # alpha + {x} grows in lexicographic order with x, so each row's columns increase
-    indptr = np.arange(len(rows) + 1) * (k + 1)
-    return IncidenceMatrix(m, linalg.BinaryMatrix(len(rows), len(cols), csr=(indptr, ranks[outside[:, 1:]])), rows, cols)
+    ranks = join_ranks(short, cols.masks, 1 << (m - np.arange(1, m + 1)))
+    csr = (np.arange(len(ranks) + 1) * (k + 1), ranks[ranks >= 0])
+    return IncidenceMatrix(m, linalg.BinaryMatrix(len(ranks), len(cols.tuples), csr=csr), rows, cols.tuples)
 
 
 def _atlas_rank(m: int, p: int) -> int:

@@ -268,8 +268,8 @@ def _digits(x: int) -> str:
 
 def cmd_count(args) -> int:
     formula = symplectic.lagrangian_count(args.n, args.q)
-    # the cells check n and q before the cap and build nothing above it,
-    # so a count above the cap still rejects an invalid n or q
+    # the formula rejects an invalid n or q, and the cells build nothing
+    # above the cap
     try:
         enumerated = sum(len(cell) for cell in symplectic.lagrangian_cells(args.n, args.q))
     except ResourceCapError:

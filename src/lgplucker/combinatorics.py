@@ -58,10 +58,24 @@ def tuple_array(tuples: Sequence[IndexTuple], length: int) -> np.ndarray:
     return flat.reshape(len(tuples), length)
 
 
-def binomials(size: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b < size as an int64 table, for ranking tuple
-    arrays by the closed form of :func:`tuple_rank`."""
-    return np.array([[comb(a, b) for b in range(size)] for a in range(size)], dtype=np.int64)
+def join_ranks(short: np.ndarray, long: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Rank by bitmask: the position of each short index tuple joined with
+    each set in bits, among the long tuples.
+
+    The mask of an index tuple over [1, m] is the sum of 2^(m - x) over
+    its entries x; among the tuples of one length, lexicographic order is
+    descending mask order. short and long are the masks of all tuples over
+    [1, m] of two lengths in that order, and each of bits the mask of a
+    set as large as the lengths differ by. Entry (s, b) is the position of
+    short[s] | bits[b] among the long tuples where the two are disjoint,
+    and -1 elsewhere. Joining a disjoint set adds its mask, which keeps
+    mask order, so the short tuples disjoint from a set, in order, go to
+    the long tuples holding it, in order: nothing is searched."""
+    bits = bits[:, None]
+    free = (short & bits) == 0
+    out = np.full(free.shape, -1, dtype=np.int64)
+    out[free] = np.nonzero((long & bits) == bits)[1]
+    return out.T
 
 
 def sorting_sign(word: Tuple[int, ...]) -> int:

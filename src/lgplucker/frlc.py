@@ -16,16 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import comb
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from . import linalg
-from .combinatorics import IndexTuple, binomials, validate_index_tuple
+from .combinatorics import IndexTuple, validate_index_tuple
 from .errors import BUILD_CAP, ResourceCapError
 from .fields import Field, Scalar
-from .symplectic import ExteriorVector, coordinates
+from .symplectic import ExteriorVector, contraction_terms, coordinates
 
 
 @dataclass
@@ -94,32 +93,16 @@ class PlueckerMatrix(linalg.BinaryMatrix):
 
 
 def build_plucker_matrix(n: int) -> PlueckerMatrix:
-    """Assemble the full relation matrix for half-dimension n (2 <= n <= 7)."""
+    """Assemble the full relation matrix for half-dimension n (2 <= n <= 7):
+    row gamma has its ones at its columns in ``contraction_terms``."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > BUILD_CAP:
         raise ResourceCapError(f"n = {n} exceeds the build cap {BUILD_CAP}")
-    rows = coordinates(n - 2, n)
-    g = rows.array
-    c = binomials(2 * n + 1)
-    ranks = np.empty((len(g), n), dtype=np.int64)
-    disjoint = np.empty((len(g), n), dtype=bool)
-    for i in range(1, n + 1):
-        ibar = 2 * n + 1 - i
-        # the column of gamma + {i, ibar} is its lexicographic rank (see
-        # combinatorics.binomials): an entry of gamma at position q moves to
-        # q + [g > i] + [g > ibar], i to #{g < i} and ibar to #{g < ibar} + 1
-        ranks[:, i - 1] = comb(2 * n, n) - 1 - (
-            c[2 * n - g, n - np.arange(n - 2) - (g > i) - (g > ibar)].sum(axis=1)
-            + c[2 * n - i, n - (g < i).sum(axis=1)]
-            + c[i - 1, n - 1 - (g < ibar).sum(axis=1)]
-        )
-        disjoint[:, i - 1] = ((g != i) & (g != ibar)).all(axis=1)
-    # gamma + {i, ibar} grows in lexicographic order with i, so each row
-    # lists its columns in increasing order
-    indptr = np.zeros(len(g) + 1, dtype=np.int64)
-    np.cumsum(disjoint.sum(axis=1), out=indptr[1:])
-    return PlueckerMatrix(n, rows.tuples, coordinates(n, n).tuples, csr=(indptr, ranks[disjoint]))
+    terms = contraction_terms(n)
+    indptr = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum((terms >= 0).sum(axis=1), out=indptr[1:])
+    return PlueckerMatrix(n, coordinates(n - 2, n).tuples, coordinates(n, n).tuples, csr=(indptr, terms[terms >= 0]))
 
 
 def vanishing_rows(points: Sequence[ExteriorVector], field: Field):

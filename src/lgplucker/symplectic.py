@@ -35,8 +35,8 @@ import numpy as np
 from . import linalg
 from .combinatorics import (
     IndexTuple,
-    binomials,
     index_tuples,
+    join_ranks,
     paired_entries,
     sorting_sign,
     split_free_pairs,
@@ -76,14 +76,16 @@ def pairing(x: Sequence, y: Sequence, n: int, field: Field) -> Scalar:
 class Coordinates(NamedTuple):
     """The exterior coordinates of one grade in canonical order: each index
     tuple, its position, and its pair-adjacent sign as an int64 vector;
-    the tuples as the rows of an int64 array, and True at each entry of a
-    complete pair in them (see ``paired_entries``)."""
+    the tuples as the rows of an int64 array, True at each entry of a
+    complete pair in them (see ``paired_entries``), and each tuple's
+    bitmask, descending (see ``join_ranks``)."""
 
     tuples: List[IndexTuple]
     position: Dict[IndexTuple, int]
     signs: np.ndarray
     array: np.ndarray
     paired: np.ndarray
+    masks: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +104,9 @@ def coordinates(grade: int, n: int) -> Coordinates:
     inversions = np.zeros(len(tuples), dtype=np.int64)
     for a in range(grade - 1):
         inversions += (key[:, a, None] > key[:, a + 1 :]).sum(axis=1)
-    arr.flags.writeable = paired.flags.writeable = False
-    return Coordinates(tuples, {t: j for j, t in enumerate(tuples)}, 1 - 2 * (inversions % 2), arr, paired)
+    masks = (1 << (2 * n - arr)).sum(axis=1)
+    arr.flags.writeable = paired.flags.writeable = masks.flags.writeable = False
+    return Coordinates(tuples, {t: j for j, t in enumerate(tuples)}, 1 - 2 * (inversions % 2), arr, paired, masks)
 
 
 class ExteriorVector:
@@ -232,18 +235,15 @@ class LaplaceTable(NamedTuple):
 def laplace_table(j: int, m: int) -> LaplaceTable:
     """Index table taking the j-minors of the first j rows to the
     (j + 1)-minors of the first j + 1 rows, in ambient dimension m.
-    ``previous`` is ``tuple_rank``'s closed form on each tuple minus one
-    entry, whose later entries move one place left."""
+    ``previous`` is found by searching each tuple's mask less one entry's
+    bit among the masks of the j-tuples, ascending (see ``join_ranks``)."""
     tuples = index_tuples(j + 1, m)
     t = tuple_array(tuples, j + 1)
-    c = binomials(m + 1)
+    bits = 1 << (m - t)
+    ascending = (1 << (m - tuple_array(index_tuples(j, m), j))).sum(axis=1)[::-1]
+    left = np.searchsorted(ascending, bits.sum(axis=1, keepdims=True) - bits)
     places = np.arange(j + 1)
-    before = c[m - t, j - places]  # entry q at place q, for q < pos
-    after = c[m - t, j + 1 - places]  # entry q at place q - 1, for q > pos
-    sum_before = np.cumsum(before, axis=1) - before
-    sum_after = after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
-    previous = comb(m, j) - 1 - sum_before - sum_after
-    return LaplaceTable(tuples, t - 1, previous, 1 - 2 * ((j + places) % 2))
+    return LaplaceTable(tuples, t - 1, comb(m, j) - 1 - left, 1 - 2 * ((j + places) % 2))
 
 
 def wedge(vectors: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
@@ -297,22 +297,27 @@ def _wedge(vecs: Sequence[Sequence[Scalar]], n: int, field: Field) -> ExteriorVe
     return ExteriorVector._reduced(n, k, field, w)
 
 
+def contraction_terms(n: int) -> np.ndarray:
+    """The terms of :func:`contract` in grade n, one row per (n - 2)-tuple
+    gamma and one column per complementary pair (i, ibar): the position of
+    gamma + {i, ibar} among the n-tuples where the pair is disjoint from
+    gamma, -1 elsewhere (see ``join_ranks``). gamma + {i, ibar} grows in
+    lexicographic order with i, so each row's positions increase."""
+    i = np.arange(1, n + 1)  # the mask of {i, ibar} sets bits 2n - i and i - 1
+    return join_ranks(coordinates(n - 2, n).masks, coordinates(n, n).masks, (1 << (2 * n - i)) | (1 << (i - 1)))
+
+
 @lru_cache(maxsize=None)
 def contraction_table(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of :func:`contract` in grade n, read off its definition,
     as arrays (source, sign, starts): output coordinate g sums sign[t]
-    times input coordinate source[t] over t from starts[g] to starts[g + 1]."""
-    position = coordinates(n, n).position
-    source, signs, starts = [], [], []
-    for gamma in coordinates(n - 2, n).tuples:
-        starts.append(len(source))
-        for i, ibar in zip(range(1, n + 1), range(2 * n, n, -1)):
-            if i not in gamma and ibar not in gamma:
-                # gamma is sorted and i < ibar: the word's inversions are
-                # the entries of gamma above i and those above ibar
-                source.append(position[tuple(sorted(gamma + (i, ibar)))])
-                signs.append((-1) ** (sum(g > i for g in gamma) + sum(g > ibar for g in gamma)))
-    return np.array(source), np.array(signs), np.array(starts)
+    times input coordinate source[t] over t from starts[g] to starts[g + 1].
+    gamma is sorted and i < ibar, so the word gamma + (i, ibar) sorts with
+    the parity of the entries of gamma above i and those above ibar."""
+    terms, g, i = contraction_terms(n), coordinates(n - 2, n).array[:, :, None], np.arange(1, n + 1)
+    above = (g > i).sum(axis=1) + (g > 2 * n + 1 - i).sum(axis=1)
+    counts = (terms >= 0).sum(axis=1)
+    return terms[terms >= 0], 1 - 2 * (above[terms >= 0] % 2), np.cumsum(counts) - counts
 
 
 def contract(w: ExteriorVector) -> ExteriorVector:
@@ -495,6 +500,7 @@ def lagrangian_count(n: int, q: int) -> int:
     """Number of Lagrangian subspaces over GF(q): product of (1 + q^i)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    GF(q)  # raises for a q that is not a prime below MAX_PRIME
     return prod(1 + q**i for i in range(1, n + 1))
 
 

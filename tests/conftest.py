@@ -1,9 +1,26 @@
 """Shared cached builders so expensive objects are constructed once."""
 
 from functools import lru_cache
+from math import comb
+
+import numpy as np
 
 from lgplucker import GF, ExactMatrix, build_plucker_matrix, index_tuples, lagrangian_subspaces, plucker_vector, split_free_pairs
 from lgplucker.linalg import _int_rows, int_echelon
+
+
+def binomials(size):
+    """C(a, b) for 0 <= a, b < size as an int64 table: the oracles' closed
+    form of tuple_rank on index-tuple arrays, which ranks t among the
+    tuples of its length over [1, m] as
+    C(m, len t) - 1 - sum over q of C(m - t[q], len t - q)."""
+    return np.array([[comb(a, b) for b in range(size)] for a in range(size)], dtype=np.int64)
+
+
+def tuple_masks(tuples, bound):
+    """The bitmask of each of the index tuples over [1, bound]: the sum of
+    2^(bound - x) over its entries x."""
+    return np.array([sum(1 << (bound - x) for x in t) for t in tuples], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

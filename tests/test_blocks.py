@@ -27,9 +27,10 @@ from lgplucker import (
 )
 import lgplucker.blocks
 import lgplucker.frlc
+from lgplucker.combinatorics import tuple_array
 from lgplucker.formats import parse_coord, write_coord
 from lgplucker.linalg import BinaryMatrix
-from conftest import bmatrix, row_partition
+from conftest import binomials, bmatrix, row_partition
 
 
 def literal_incidence_matrix(m):
@@ -45,6 +46,30 @@ def literal_incidence_matrix(m):
 def test_incidence_matrix_matches_literal_containment(m):
     # equality compares m, both label tuples and every bit
     assert incidence_matrix(m) == literal_incidence_matrix(m)
+
+
+def closed_form_incidence_indices(m):
+    """L(m)'s column indices by the closed form of tuple_rank (see
+    conftest.binomials): in alpha + {x} an entry of alpha at position q
+    moves to q + [alpha_q > x], and x to #{alpha_q < x}."""
+    k = m // 2
+    alpha = tuple_array(list(combinations(range(1, m + 1), k - 1)), k - 1)
+    c, q = binomials(m + 1), np.arange(k - 1)
+    ranks = np.empty((len(alpha), m), dtype=np.int64)
+    for x in range(1, m + 1):
+        ranks[:, x - 1] = (
+            comb(m, k) - 1 - c[m - alpha, k - q - (alpha > x)].sum(axis=1) - c[m - x, k - (alpha < x).sum(axis=1)]
+        )
+    outside = np.ones((len(alpha), m + 1), dtype=bool)
+    outside[np.arange(len(alpha))[:, None], alpha] = False
+    return ranks[outside[:, 1:]]
+
+
+@pytest.mark.parametrize("m", range(2, 15, 2))
+def test_incidence_matrix_matches_closed_form(m):
+    mat = incidence_matrix(m)
+    assert mat.indices.tolist() == closed_form_incidence_indices(m).tolist()
+    assert mat.indptr.tolist() == list(range(0, mat.rows * r_value(m) + 1, r_value(m)))
 
 
 class TestConfiguration:

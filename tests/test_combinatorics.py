@@ -1,9 +1,10 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lgplucker.combinatorics import binomials, paired_entries, tuple_array
+from lgplucker.combinatorics import join_ranks, paired_entries, tuple_array
 from lgplucker import (
     FreePairSplit,
     Pair,
@@ -13,7 +14,7 @@ from lgplucker import (
     split_free_pairs,
     tuple_rank,
 )
-from conftest import row_partition
+from conftest import binomials, row_partition, tuple_masks
 
 
 def tuple_unrank(r, length, bound):
@@ -167,11 +168,43 @@ class TestArrayForms:
             assert row == [x in paired for x in t]
 
     def test_binomials_rank_like_tuple_rank(self):
+        # the closed form the oracles of build_plucker_matrix,
+        # incidence_matrix and laplace_table rank by
         table = binomials(11)
         assert table.tolist() == [[comb(a, b) for b in range(11)] for a in range(11)]
         for t in index_tuples(4, 10):
             closed = table[10, 4] - 1 - sum(table[10 - c, 4 - q] for q, c in enumerate(t))
             assert closed == tuple_rank(t, 10)
+
+
+class TestJoinRanks:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_lexicographic_order_is_descending_mask_order(self, m):
+        for k in range(m + 1):
+            masks = tuple_masks(index_tuples(k, m), m)
+            assert (np.diff(masks) < 0).all()
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_single_entries_against_tuple_rank(self, m):
+        # every tuple of length k + 1 is some k-tuple joined with one entry
+        for k in range(m):
+            short, long = index_tuples(k, m), index_tuples(k + 1, m)
+            got = join_ranks(tuple_masks(short, m), tuple_masks(long, m), 1 << (m - np.arange(1, m + 1)))
+            assert got.shape == (len(short), m)
+            want = [
+                [-1 if x in t else tuple_rank(tuple(sorted(t + (x,))), m) for x in range(1, m + 1)] for t in short
+            ]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pairs_against_tuple_rank(self, n):
+        m = 2 * n
+        pairs = [(i, m + 1 - i) for i in range(1, n + 1)]
+        for k in range(m - 1):
+            short, long = index_tuples(k, m), index_tuples(k + 2, m)
+            got = join_ranks(tuple_masks(short, m), tuple_masks(long, m), tuple_masks(pairs, m))
+            want = [[-1 if set(p) & set(t) else tuple_rank(tuple(sorted(t + p)), m) for p in pairs] for t in short]
+            assert got.tolist() == want
 
 
 class TestRowPartition:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from lgplucker import (
     vanishing_space,
     wedge,
 )
-from lgplucker.combinatorics import validate_index_tuple
-from conftest import bmatrix, enumerated_points
+from lgplucker import frlc
+from lgplucker.combinatorics import tuple_array, validate_index_tuple
+from lgplucker.symplectic import contraction_table, coordinates
+from conftest import binomials, bmatrix, enumerated_points
 
 
 def contraction_functional(gamma, n, field=QQ):
@@ -151,6 +154,47 @@ class TestBuild:
             build_plucker_matrix(8)
         with pytest.raises(ValueError):
             build_plucker_matrix(1)
+
+
+def closed_form_csr(n):
+    """B(n)'s CSR arrays by the closed form of tuple_rank (see
+    conftest.binomials): in gamma + {i, ibar} an entry g of gamma at
+    position q moves to q + [g > i] + [g > ibar], i to #{g < i} and ibar
+    to #{g < ibar} + 1."""
+    g = tuple_array(index_tuples(n - 2, 2 * n), n - 2)
+    c = binomials(2 * n + 1)
+    ranks = np.empty((len(g), n), dtype=np.int64)
+    disjoint = np.empty((len(g), n), dtype=bool)
+    for i in range(1, n + 1):
+        ibar = 2 * n + 1 - i
+        ranks[:, i - 1] = comb(2 * n, n) - 1 - (
+            c[2 * n - g, n - np.arange(n - 2) - (g > i) - (g > ibar)].sum(axis=1)
+            + c[2 * n - i, n - (g < i).sum(axis=1)]
+            + c[i - 1, n - 1 - (g < ibar).sum(axis=1)]
+        )
+        disjoint[:, i - 1] = ((g != i) & (g != ibar)).all(axis=1)
+    return np.concatenate(([0], np.cumsum(disjoint.sum(axis=1)))), ranks[disjoint]
+
+
+class TestRanksByMask:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_csr_matches_closed_form(self, n, monkeypatch):
+        monkeypatch.setattr(frlc, "BUILD_CAP", 9)  # n = 8, 9 past the cap
+        b = build_plucker_matrix(n)
+        indptr, indices = closed_form_csr(n)
+        assert b.indptr.tolist() == indptr.tolist()
+        assert b.indices.tolist() == indices.tolist()
+        assert b.shape == (comb(2 * n, n - 2), comb(2 * n, n))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_contraction_table_is_b_with_signs(self, n):
+        # the signs are the twist of both sides (see PlueckerMatrix.apply)
+        b = bmatrix(n)
+        source, signs, starts = contraction_table(n)
+        assert source.tolist() == b.indices.tolist()
+        twist = coordinates(n, n).signs[b.indices] * coordinates(n - 2, n).signs[b.row_ids()]
+        assert signs.tolist() == twist.tolist()
+        assert starts.tolist() == b.indptr[:-1].tolist()
 
 
 class TestApply:

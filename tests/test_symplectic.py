@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -33,10 +34,10 @@ from lgplucker import (
     tuple_rank,
     wedge,
 )
-from lgplucker.combinatorics import validate_index_tuple
+from lgplucker.combinatorics import tuple_array, validate_index_tuple
 from lgplucker import symplectic
 from lgplucker.symplectic import coordinates, failing_plucker_relation, laplace_table, plucker_relation_table
-from conftest import enumerated_bases, enumerated_points
+from conftest import binomials, enumerated_bases, enumerated_points
 
 
 def gram_matrix(n):
@@ -475,6 +476,18 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=f"^need n >= 1, got {n}$"):
             lagrangian_count(n, 2)
 
+    @pytest.mark.parametrize("q", [6, 4, 1, 0, -3])
+    def test_count_rejects_q_as_gf_does(self, q):
+        with pytest.raises(ValueError, match=f"^modulus {q} is not prime$"):
+            lagrangian_count(2, q)
+        # n first, as lagrangian_cells checks them
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+            lagrangian_count(0, q)
+
+    def test_count_rejects_q_past_the_field_cap(self):
+        with pytest.raises(ValueError, match="exceeds the desk-scale cap"):
+            lagrangian_count(1, 2147483659)  # the least prime past MAX_PRIME
+
     def test_lines_all_isotropic(self):
         assert sum(1 for _ in lagrangian_subspaces(1, 2)) == 3
 
@@ -848,6 +861,20 @@ def dict_laplace_table(j, m):
     return tuples, column, previous
 
 
+def closed_form_previous(j, m):
+    """laplace_table's previous by the closed form of tuple_rank (see
+    conftest.binomials): removing the entry at pos moves each later entry
+    one place left."""
+    t = tuple_array(index_tuples(j + 1, m), j + 1)
+    c = binomials(m + 1)
+    places = np.arange(j + 1)
+    before = c[m - t, j - places]  # entry q at place q, for q < pos
+    after = c[m - t, j + 1 - places]  # entry q at place q - 1, for q > pos
+    sum_before = np.cumsum(before, axis=1) - before
+    sum_after = after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
+    return comb(m, j) - 1 - sum_before - sum_after
+
+
 class TestLaplaceTableFromRanks:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_matches_dict_construction(self, m):
@@ -856,7 +883,8 @@ class TestLaplaceTableFromRanks:
             tuples, column, previous = dict_laplace_table(j, m)
             assert table.tuples == tuples
             assert table.column.tolist() == column
-            assert table.previous.tolist() == previous
+            assert table.previous.tolist() == previous == closed_form_previous(j, m).tolist()
+            assert table.previous.dtype == np.int64
             assert table.signs.tolist() == [(-1) ** (j + pos) for pos in range(j + 1)]
 
 
@@ -874,7 +902,26 @@ def literal_contract(w):
     return ExteriorVector(n, n - 2, field, out)
 
 
+def dict_contraction_table(n):
+    """contraction_table by position lookups, one term at a time."""
+    position = coordinates(n, n).position
+    source, signs, starts = [], [], []
+    for gamma in coordinates(n - 2, n).tuples:
+        starts.append(len(source))
+        for i, ibar in zip(range(1, n + 1), range(2 * n, n, -1)):
+            if i not in gamma and ibar not in gamma:
+                source.append(position[tuple(sorted(gamma + (i, ibar)))])
+                signs.append((-1) ** (sum(g > i for g in gamma) + sum(g > ibar for g in gamma)))
+    return source, signs, starts
+
+
 class TestContractionTable:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_dict_construction(self, n):
+        table = symplectic.contraction_table(n)
+        assert [a.tolist() for a in table] == list(dict_contraction_table(n))
+        assert all(a.dtype == np.int64 for a in table)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_rational_wedges_against_contract_vectors(self, n):
         rng = random.Random(n)
